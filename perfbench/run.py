@@ -56,7 +56,7 @@ def measure(args) -> dict:
         probe = layers.Instrumentation()
         try:
             record = session.run(args.workload, args.seed, args.seconds,
-                                 probe=probe, scale=args.scale)
+                                 traced=True, scale=args.scale)
         finally:
             probe.close()
         values = metrics.per_layer(record, probe)

@@ -177,7 +177,8 @@ def score_selection(record: Record, graph) -> None:
 
 # ------------------------------------------------------------------ churn
 def churn_phase(record: Record, engine: DynamicCFCM, group: List[int], seed: int,
-                budget: float, bursts: Optional[int] = None, probe=None) -> int:
+                budget: float, bursts: Optional[int] = None,
+                record_ess: bool = False) -> int:
     """The closed churn loop; returns the number of bursts run."""
     graph = engine.graph
     generator = churn.ChurnGenerator(graph.edges(), graph.node_ids().tolist(),
@@ -216,7 +217,7 @@ def churn_phase(record: Record, engine: DynamicCFCM, group: List[int], seed: int
         record.churn_wall += elapsed
         forest = None
         if done % FOREST_EVERY == FOREST_EVERY - 1:
-            if probe is not None:
+            if record_ess:
                 record.ess.extend(h["ess"] for h in engine.pool_health().values())
             record.attempted += 1
             t0 = clock()
@@ -363,9 +364,9 @@ def check_serve(record: Record, graph, group, writes: list) -> None:
 
 
 # ---------------------------------------------------------------- session
-def run(workload: str, seed: int, seconds: float, probe=None,
+def run(workload: str, seed: int, seconds: float, traced: bool = False,
         scale: float = 1.0) -> Record:
-    """One run of ``workload``; ``probe`` (layers.Instrumentation) traces it."""
+    """One run of ``workload``; ``traced`` runs under layers.Instrumentation."""
     def build(s):
         return graphs.BUILDERS[workload](s, scale)
 
@@ -377,7 +378,7 @@ def run(workload: str, seed: int, seconds: float, probe=None,
     middle = clock()
     # A traced run does the fixed burst count its untraced replay does.
     bursts = churn_phase(record, engine, group, seed, SHARES["churn"] * seconds,
-                         bursts=MIN_BURSTS if probe is not None else None, probe=probe)
+                         bursts=MIN_BURSTS if traced else None, record_ess=traced)
     record.windows["select"] = (start, middle)
     record.windows["churn"] = (middle, clock())
     writes = serve_phase(record, graph, group, seed, seconds, record.write_starts)
