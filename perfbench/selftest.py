@@ -21,7 +21,7 @@ import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-SCRATCH = os.path.join(ROOT, ".bench_selftest")
+WORKDIR = os.path.join(ROOT, ".bench_selftest")
 
 
 def check(condition: bool, message: str) -> None:
@@ -105,19 +105,19 @@ def check_gates() -> None:
 
 def check_isolated() -> None:
     """With only BENCHMARK.json and perfbench/, the run fails without a result."""
-    shutil.rmtree(SCRATCH, ignore_errors=True)
-    os.makedirs(SCRATCH)
+    shutil.rmtree(WORKDIR, ignore_errors=True)
+    os.makedirs(WORKDIR)
     try:
-        shutil.copy(os.path.join(ROOT, "BENCHMARK.json"), SCRATCH)
-        shutil.copytree(HERE, os.path.join(SCRATCH, "perfbench"),
+        shutil.copy(os.path.join(ROOT, "BENCHMARK.json"), WORKDIR)
+        shutil.copytree(HERE, os.path.join(WORKDIR, "perfbench"),
                         ignore=shutil.ignore_patterns("__pycache__"))
         proc = run(["--workload", "powerlaw", "--seed", "1", "--seconds", "1",
-                    "--trace", "0"], cwd=SCRATCH)
+                    "--trace", "0"], cwd=WORKDIR)
         check(proc.returncode != 0, "isolated run exits 0")
         check(not any(line.startswith("{") for line in proc.stdout.splitlines()),
               "isolated run printed a result")
     finally:
-        shutil.rmtree(SCRATCH, ignore_errors=True)
+        shutil.rmtree(WORKDIR, ignore_errors=True)
 
 
 def main() -> int:
