@@ -65,8 +65,7 @@ class ChurnGenerator:
     """Draws unit-weight churn events against a mirror of the live graph."""
 
     def __init__(self, edges: Iterable[Tuple[int, int]], nodes: Iterable[int],
-                 protected: Sequence[int], rng: np.random.Generator,
-                 mix=MIX):
+                 protected: Sequence[int], rng: np.random.Generator):
         self.edges = IndexedSet(_key(int(u), int(v)) for u, v in edges)
         self.nodes = IndexedSet(int(v) for v in nodes)
         self.adjacency: dict = {v: set() for v in self.nodes.items}
@@ -75,7 +74,7 @@ class ChurnGenerator:
             self.adjacency[v].add(u)
         self.protected = set(int(v) for v in protected)
         self.rng = rng
-        block = [kind for kind, count in mix for _ in range(count)]
+        block = [kind for kind, count in MIX for _ in range(count)]
         order = np.random.default_rng(PATTERN_SEED).permutation(len(block))
         self.pattern = [block[i] for i in order]
         self.drawn = 0

@@ -23,6 +23,10 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 WORKLOADS = ("powerlaw", "roadmesh")
+# Tracing overhead: two engines replay the same churn bursts side by side,
+# one traced and one not, alternating which goes first, so drift in the
+# host's speed hits both alike.
+OVERHEAD_BURSTS = 48
 
 
 def parse(argv=None):
@@ -44,6 +48,30 @@ def load_program() -> None:
     sys.path[:0] = [source, HERE]
 
 
+def trace_overhead(args) -> float:
+    """Timed churn wall of the traced engine over that of the untraced one."""
+    import graphs
+    import layers
+    import session
+
+    records, loops = {}, {}
+    for traced in (True, False):
+        records[traced] = session.Record(args.workload, args.seed)
+        _, group, engine = session.setup(
+            records[traced], lambda s: graphs.BUILDERS[args.workload](s, args.scale),
+            reps=1)
+        loops[traced] = session.churn_bursts(records[traced], engine, group, args.seed)
+    for burst in range(OVERHEAD_BURSTS):
+        for traced in ((True, False) if burst % 2 == 0 else (False, True)):
+            probe = layers.Instrumentation() if traced else None
+            try:
+                next(loops[traced])
+            finally:
+                if probe is not None:
+                    probe.close()
+    return records[True].churn_wall / records[False].churn_wall
+
+
 def measure(args) -> dict:
     import metrics
     import session
@@ -56,16 +84,14 @@ def measure(args) -> dict:
         probe = layers.Instrumentation()
         try:
             record = session.run(args.workload, args.seed, args.seconds,
-                                 traced=True, scale=args.scale)
+                                 scale=args.scale)
         finally:
             probe.close()
         values = metrics.per_layer(record, probe)
-        # Replay the churn bursts untraced in the same warm process, with the
-        # span buffer freed so it does not slow the garbage collector.
+        # Free the run's spans so they do not slow the collector.
         probe.tracer.clear()
         gc.collect()
-        untraced = session.churn_untraced(args.workload, args.seed, scale=args.scale)
-        values["obs.trace_overhead_ratio"] = record.churn_wall / untraced.churn_wall
+        values["obs.trace_overhead_ratio"] = trace_overhead(args)
     for name, value in values.items():
         print(f"{name:28s} {value:14.6g} {metrics.UNITS[name]}")
     print(f"graph {record.graph}  selection calls {len(record.select)}  "
