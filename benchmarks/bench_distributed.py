@@ -1,19 +1,18 @@
 """Sharded vs single-tracker serving throughput (repro.distributed).
 
 One workload, two engines: a stream of edge reweights interleaved with
-trace (group-CFCC) and resistance queries runs once through a single
-:class:`repro.dynamic.DynamicCFCM` and once through a
-:class:`repro.distributed.ShardedCFCM` over the same lattice, each engine
+trace (group-CFCC) and resistance queries runs once through a
+:class:`repro.dynamic.DynamicCFCM` on a single backend and once through a
+``DynamicCFCM(backend="sharded")`` over the same lattice, each engine
 owning its own :class:`DynamicGraph` fed the identical mutation sequence
 (sharing one graph would let either engine's journal compaction starve the
-other's trackers).
+other's trackers).  ``--backend`` is the single engine's backend and the
+sharded backend's inner backend.
 
-The sharded win on a single core is *solver locality*: splu factor time and
-per-column solve time both grow superlinearly in ``n``, so four
-quarter-sized trackers beat one full-sized tracker even executed back to
-back — the Schur stitch itself is a handful of dense BLAS-3 calls over the
-separator block.  On multi-core hosts the thread executor overlaps the
-per-shard work on top of that.
+The sharded win is *solver locality*: splu factor time and per-column solve
+time both grow superlinearly in ``n``, so four quarter-sized inner backends
+beat one full-sized one even executed back to back — the Schur stitch
+itself is a handful of dense BLAS-3 calls over the separator block.
 
 Gates (checked by ``main``):
 
@@ -39,11 +38,9 @@ import time
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro import obs
-from repro.distributed import ShardedCFCM
 from repro.dynamic import DynamicCFCM, DynamicGraph
 from repro.experiments.report import (
     metrics_prefix_for,
@@ -52,12 +49,6 @@ from repro.experiments.report import (
     write_obs_artifacts,
 )
 from repro.graph import generators
-
-
-def _strip_seeds(rows: int, cols: int, shards: int) -> list:
-    """Seed nodes at strip centres so the partition cuts along grid rows."""
-    return [((2 * i + 1) * rows // (2 * shards)) * cols + cols // 2
-            for i in range(shards)]
 
 
 def _workload(rows: int, cols: int, cycles: int, updates: int,
@@ -108,9 +99,21 @@ def _drive(engine, graph, plan, group):
 
 
 def _resistance(engine, node, group):
-    if isinstance(engine, ShardedCFCM):
-        return engine.resistance_to_group(node, group)
     return engine.tracker(group).resistance_to_group(node)
+
+
+#: Tracker refresh budget of the sharded engine.  The sharded backend keeps
+#: its own float hygiene (each inner backend refactorises at its own rank
+#: cap, the separator inverse is recomputed at fold rank 512), while a full
+#: refactorisation also re-solves every separator coupling, so the tracker
+#: only refreshes it after a long journal.
+SHARDED_REFRESH = 4096
+
+
+def _sharded(graph, shards: int, seed: int, inner: str) -> DynamicCFCM:
+    return DynamicCFCM(graph, seed=seed, backend="sharded",
+                       refresh_interval=SHARDED_REFRESH,
+                       backend_options={"shards": shards, "inner": inner})
 
 
 def _splu_reference_diag(graph: DynamicGraph, group, nodes):
@@ -131,7 +134,7 @@ def _splu_reference_diag(graph: DynamicGraph, group, nodes):
 
 def run_comparison(rows: int, cols: int, shards: int, cycles: int,
                    updates: int, queries: int, seed: int,
-                   backend: str, executor: str, check_nodes: int = 16):
+                   backend: str, check_nodes: int = 16):
     """One head-to-head run; returns a ``BENCH_*.json`` row."""
     n = rows * cols
     group = (0, n // 2 + cols // 2)
@@ -143,12 +146,9 @@ def run_comparison(rows: int, cols: int, shards: int, cycles: int,
         single, graph_single, plan, group)
 
     graph_sharded = DynamicGraph(generators.grid_graph(rows, cols))
-    sharded = ShardedCFCM(graph_sharded, shards=shards, seed=seed,
-                          backend=backend, executor=executor,
-                          seeds=_strip_seeds(rows, cols, shards))
+    sharded = _sharded(graph_sharded, shards, seed, backend)
     sharded_seconds, sharded_lat, sharded_warm = _drive(
         sharded, graph_sharded, plan, group)
-    sharded.close()
 
     # Exactness: sampled resistances from both engines against one fresh
     # global factorisation of the final (identical) graph state.
@@ -170,8 +170,8 @@ def run_comparison(rows: int, cols: int, shards: int, cycles: int,
         "updates_per_cycle": updates,
         "queries_per_cycle": queries,
         "backend": backend,
-        "executor": executor,
-        "separator_nodes": len(sharded.partition.separator),
+        "separator_nodes": sharded.tracker(group).backend.describe()[
+            "separator_nodes"],
         "single_seconds": single_seconds,
         "sharded_seconds": sharded_seconds,
         "single_warmup_seconds": single_warm,
@@ -190,8 +190,7 @@ def run_smoke_exactness(seed: int = 0):
     n = rows * cols
     plan = _workload(rows, cols, cycles=3, updates=12, queries=4, seed=seed)
     graph = DynamicGraph(generators.grid_graph(rows, cols))
-    engine = ShardedCFCM(graph, shards=4, seed=seed, backend="dense",
-                         coupling="exact")
+    engine = _sharded(graph, 4, seed, "dense")
     group = (0, n // 2)
     _drive(engine, graph, plan, group)
 
@@ -203,7 +202,7 @@ def run_smoke_exactness(seed: int = 0):
     cfcc_ref = n / np.trace(inverse)
     cfcc_err = abs(engine.evaluate_exact(group) - cfcc_ref)
     diag_err = max(
-        abs(engine.resistance_to_group(node, group)
+        abs(_resistance(engine, node, group)
             - inverse[position[graph.compact_index(node)],
                       position[graph.compact_index(node)]])
         for node in range(n) if node not in grounded
@@ -236,7 +235,7 @@ class TestShardedThroughput:
 
         def run():
             graph = DynamicGraph(generators.grid_graph(self.ROWS, self.COLS))
-            engine = ShardedCFCM(graph, shards=4, seed=0, backend="dense")
+            engine = _sharded(graph, 4, 0, "dense")
             return _drive(engine, graph, plan, (0,))[0]
 
         benchmark(run)
@@ -256,8 +255,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--backend", choices=("dense", "sparse", "auto"),
                         default="sparse")
-    parser.add_argument("--executor", choices=("serial", "thread", "process"),
-                        default="serial")
     parser.add_argument("--min-speedup", type=float, default=2.5,
                         help="full-mode throughput gate (x single-tracker)")
     parser.add_argument("--smoke", action="store_true",
@@ -279,8 +276,7 @@ def main(argv=None) -> int:
                     f"smoke exactness gate failed: {exact}")
             row = run_comparison(rows=8, cols=24, shards=4, cycles=2,
                                  updates=8, queries=4, seed=args.seed,
-                                 backend="dense", executor="serial",
-                                 check_nodes=8)
+                                 backend="dense", check_nodes=8)
             row.update(mode="smoke", **{f"exact_{k}": v
                                         for k, v in exact.items()})
             rows = [row]
@@ -288,8 +284,7 @@ def main(argv=None) -> int:
             row = run_comparison(rows=args.side, cols=args.side,
                                  shards=args.shards, cycles=args.cycles,
                                  updates=args.updates, queries=args.queries,
-                                 seed=args.seed, backend=args.backend,
-                                 executor=args.executor)
+                                 seed=args.seed, backend=args.backend)
             row["mode"] = "full"
             rows = [row]
             if row["speedup"] < args.min_speedup:

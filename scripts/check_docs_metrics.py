@@ -31,7 +31,7 @@ NAME = re.compile(r"\brepro_[a-z0-9_]+\b")
 def registered_metric_names() -> set:
     """Every metric name the registry can expose, by actually registering it."""
     # Module-level metrics register at import time.
-    import repro.distributed.engine  # noqa: F401
+    import repro.distributed.backend  # noqa: F401
     import repro.dynamic.engine      # noqa: F401
     import repro.dynamic.resistance  # noqa: F401
     import repro.linalg.backends     # noqa: F401

@@ -1,34 +1,21 @@
-"""Sharded CFCM serving: per-shard trackers stitched by a global Schur complement.
+"""Sharded resistance backend: per-shard inverses stitched by a Schur complement.
 
-The distributed layer splits one :class:`repro.dynamic.DynamicCFCM`-sized
-problem into ``p`` shards.  :func:`partition_graph` assigns every node a
-*home* part and promotes a small vertex separator ``T`` (a cover of the
-cut edges) out of the parts; each shard then owns the interior of its part
-plus a read-only replica of ``T``.  :class:`ShardedCFCM` runs one dynamic
-engine (tracker + forest pool) per shard and answers global resistance /
-CFCM queries by stitching the per-shard grounded inverses through a dense
-Schur complement over the separator — see :mod:`repro.distributed.engine`
-for the algebra and :doc:`docs/distributed.md <../../docs/distributed>`
-for the full derivation.
+:class:`ShardedResistanceBackend` is one more
+:class:`repro.linalg.ResistanceBackend`: :func:`partition_rows` splits the
+rows of the grounded Laplacian into shard interiors plus a small vertex
+separator ``T``, every interior block gets its own inner backend, and global
+solves, columns, diagonals and traces are stitched through a dense
+``|T| x |T|`` Schur complement — see :mod:`repro.distributed.backend` for the
+algebra.  Select it through the engine like any other backend::
+
+    DynamicCFCM(graph, backend="sharded", backend_options={"shards": 4})
 """
 
-from repro.distributed.executor import (
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    make_executor,
-)
-from repro.distributed.partition import Partition, partition_graph
-from repro.distributed.shard import ShardState
-from repro.distributed.engine import ShardedCFCM
+from repro.distributed.partition import Partition, partition_rows
+from repro.distributed.backend import ShardedResistanceBackend
 
 __all__ = [
     "Partition",
-    "partition_graph",
-    "SerialExecutor",
-    "ThreadExecutor",
-    "ProcessExecutor",
-    "make_executor",
-    "ShardState",
-    "ShardedCFCM",
+    "partition_rows",
+    "ShardedResistanceBackend",
 ]

@@ -1,40 +1,43 @@
-"""Edge-cut partitioner with a vertex-separator promotion.
+"""Row partitioner of the sharded backend: balanced parts plus a vertex separator.
 
-The sharded engine needs the node set split so that the grounded interior
-block of the global Laplacian is *block diagonal* by shard.  That holds
-exactly when no edge joins the interiors of two different parts, so the
-partition is built in two deterministic stages:
+The sharded backend needs the rows of a grounded Laplacian ``L_{-S}`` split so
+that its interior block is *block diagonal* by shard.  Rows ``r`` and ``c``
+are adjacent when ``L_{-S}[r, c] != 0`` for ``r != c``; block diagonality
+holds exactly when no such pair joins the interiors of two different parts,
+so the partition is built in two deterministic stages:
 
-1. **Homes** — balanced multi-source BFS over the current snapshot: ``p``
-   evenly spread seed nodes grow their parts one node per round, the
-   currently smallest part claiming first, so parts come out connected
-   and within one node of each other in size.
-2. **Separator** — every *cut* edge (endpoints homed to different parts)
+1. **Homes** — balanced multi-source BFS over the sparsity pattern: ``p``
+   seed rows, one at the centre of each of ``p`` equal row-index ranges,
+   grow their parts one row per round, the currently smallest part
+   claiming first, so parts come out within one row of each other in size.
+   On row orders with locality (lattices, BFS-ordered inputs) each part
+   grows around its own range, which keeps the separator thin.
+2. **Separator** — every *cut* pair (endpoints homed to different parts)
    must lose at least one endpoint to the separator ``T``; a greedy vertex
-   cover promotes the endpoint covering the most still-uncovered cut edges
-   (ties by node id).  Promoted nodes belong to no part.  On mesh-like
-   topologies this yields roughly half the nodes an edge-cut boundary
-   would replicate, and the separator — not the edge cut — is what the
-   dense Schur complement is sized by.
+   cover promotes the row covering the most still-uncovered cut pairs (ties
+   by row index).  Promoted rows belong to no part.  On mesh-like
+   topologies this yields roughly half the rows an edge-cut boundary would
+   replicate, and the separator is what the dense Schur complement is sized
+   by.
 
 After promotion the defining invariant of the sharded algebra holds:
 
-    every neighbour of an interior node is in the same part or in ``T``.
+    every neighbour of an interior row is in the same part or in ``T``.
 
-so the interior–interior coupling between different parts is identically
-zero and per-part grounded inverses compose through a single ``|T| x |T|``
-Schur complement (:mod:`repro.distributed.engine`).
+The grounded group ``S`` is already gone from the matrix, so group members
+never need special handling here.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
-from repro.dynamic.graph import DynamicGraph
 from repro.exceptions import InvalidParameterError
 from repro.utils.validation import check_integer
 
@@ -46,167 +49,121 @@ class Partition:
     Attributes
     ----------
     home:
-        ``{stable node id: part index}`` for **every** active node,
-        including separator nodes (their home records which part they were
-        grown into before promotion; new nodes inherit a neighbour's home).
+        ``(n,)`` part index of **every** row, separator rows included (their
+        home records the part they were grown into before promotion).
     parts:
-        Per part, the sorted tuple of *interior* stable node ids (home in
-        that part and not promoted).
+        Per part, the sorted interior row indices (home in that part and not
+        promoted).
     separator:
-        Sorted tuple of the promoted separator node ids ``T``.
+        Sorted separator row indices ``T``.
     """
 
-    home: Dict[int, int]
-    parts: Tuple[Tuple[int, ...], ...]
-    separator: Tuple[int, ...]
+    home: np.ndarray
+    parts: Tuple[np.ndarray, ...]
+    separator: np.ndarray
 
     @property
     def shards(self) -> int:
         return len(self.parts)
 
-    def part_of(self, node: int) -> int:
-        """Home part of ``node`` (defined also for separator nodes)."""
-        return self.home[int(node)]
-
-    def is_separator(self, node: int) -> bool:
-        return int(node) in self._separator_set
-
-    @property
-    def _separator_set(self) -> frozenset:
-        cached = self.__dict__.get("_sep_cache")
-        if cached is None:
-            cached = frozenset(self.separator)
-            self.__dict__["_sep_cache"] = cached
-        return cached
-
     def describe(self) -> Dict[str, object]:
         """Summary dict for logs and bench artifacts."""
         return {
             "shards": self.shards,
-            "interior_sizes": [len(part) for part in self.parts],
-            "separator_nodes": len(self.separator),
+            "interior_sizes": [int(part.size) for part in self.parts],
+            "separator_nodes": int(self.separator.size),
         }
 
 
-def partition_graph(graph: DynamicGraph, shards: int,
-                    seeds: Sequence[int] = ()) -> Partition:
-    """Partition the active node set of ``graph`` into ``shards`` parts.
+def partition_rows(matrix, shards: int) -> Partition:
+    """Partition the rows of a square sparse ``matrix`` into ``shards`` parts.
 
-    Deterministic for a fixed graph state: BFS seeds are evenly spaced over
-    the sorted active ids unless ``seeds`` pins them explicitly (one per
-    part, useful for topology-aware layouts such as lattice strips).
+    Deterministic for a fixed sparsity pattern: the BFS seeds sit at the
+    centres of ``shards`` equal row-index ranges.
     """
     shards = check_integer("shards", shards, minimum=1)
-    ids = [int(x) for x in graph.node_ids()]
-    if shards > len(ids):
-        raise InvalidParameterError(
-            f"cannot split {len(ids)} nodes into {shards} shards"
-        )
-    home = assign_homes(graph, shards, seeds)
-    return partition_from_home(graph, home, shards)
+    pattern = sp.csr_matrix(matrix)
+    n = pattern.shape[0]
+    if shards > n:
+        raise InvalidParameterError(f"cannot split {n} rows into {shards} shards")
+    indptr = pattern.indptr.tolist()
+    indices = pattern.indices.tolist()
+    home = assign_homes(indptr, indices, n, shards)
+    return promote_separator(indptr, indices, home, shards)
 
 
-def assign_homes(graph: DynamicGraph, shards: int,
-                 seeds: Sequence[int] = ()) -> Dict[int, int]:
-    """Balanced multi-source BFS home assignment over the active nodes."""
-    ids = [int(x) for x in graph.node_ids()]
-    if seeds:
-        chosen = [int(s) for s in seeds]
-        if len(chosen) != shards:
-            raise InvalidParameterError(
-                f"expected {shards} seeds, got {len(chosen)}"
-            )
-        for seed in chosen:
-            if not graph.has_node(seed):
-                raise InvalidParameterError(f"seed node {seed} is not active")
-        if len(set(chosen)) != shards:
-            raise InvalidParameterError("seed nodes must be distinct")
-    else:
-        step = max(len(ids) // shards, 1)
-        chosen = [ids[min(i * step, len(ids) - 1)] for i in range(shards)]
-        # Evenly spaced picks can collide on tiny graphs; fall back to the
-        # first unused id so every part gets a distinct seed.
-        used = set()
-        for i, seed in enumerate(chosen):
-            if seed in used:
-                seed = next(x for x in ids if x not in used)
-            used.add(seed)
-            chosen[i] = seed
-
-    home: Dict[int, int] = {}
+def assign_homes(indptr: List[int], indices: List[int], n: int, shards: int) -> np.ndarray:
+    """Balanced multi-source BFS home assignment over the rows."""
+    home = [-1] * n
     frontiers: List[deque] = []
-    for part, seed in enumerate(chosen):
+    for part in range(shards):
+        seed = (2 * part + 1) * n // (2 * shards)
         home[seed] = part
         frontiers.append(deque([seed]))
     sizes = [1] * shards
     assigned = shards
-    while assigned < len(ids):
+    while assigned < n:
         # The currently smallest part (ties by index) claims exactly one
-        # unassigned node off its BFS frontier, so parts stay within one
-        # node of each other no matter how badly the seeds are spread.
-        progressed = False
+        # unassigned row off its BFS frontier, so parts stay within one row
+        # of each other no matter how badly the seeds are spread.
+        claimed = None
         for part in sorted(range(shards), key=lambda p: (sizes[p], p)):
             frontier = frontiers[part]
-            claimed = None
             while frontier and claimed is None:
-                node = frontier[0]
-                claimed = next((nb for nb in graph.neighbors(node)
-                                if nb not in home), None)
+                row = frontier[0]
+                claimed = next(
+                    (c for c in indices[indptr[row] : indptr[row + 1]] if home[c] < 0), None
+                )
                 if claimed is None:
                     frontier.popleft()  # exhausted; head rotates out
-            if claimed is None:
-                continue
-            home[claimed] = part
-            frontier.append(claimed)
+            if claimed is not None:
+                home[claimed] = part
+                frontier.append(claimed)
+                sizes[part] += 1
+                assigned += 1
+                break
+        if claimed is None:
+            # Every frontier is exhausted but rows remain: the pattern is
+            # disconnected (grounding can split a graph).  Seed the next
+            # unclaimed row into the smallest part and keep growing.
+            part = min(range(shards), key=lambda p: (sizes[p], p))
+            row = home.index(-1)
+            home[row] = part
+            frontiers[part].append(row)
             sizes[part] += 1
             assigned += 1
-            progressed = True
+    return np.asarray(home, dtype=np.int64)
+
+
+def promote_separator(
+    indptr: List[int], indices: List[int], home: np.ndarray, shards: int
+) -> Partition:
+    """Promote a greedy vertex cover of the cut pairs into the separator."""
+    homes = home.tolist()
+    cut: Dict[int, List[int]] = {}
+    for row in range(len(homes)):
+        for col in indices[indptr[row] : indptr[row + 1]]:
+            if homes[col] != homes[row]:
+                cut.setdefault(row, []).append(col)
+    # Greedy cover: repeatedly promote the row covering the most
+    # still-uncovered cut pairs (ties by index), via a lazy max-heap.
+    count = {row: len(cols) for row, cols in cut.items()}
+    heap = [(-c, row) for row, c in count.items()]
+    heapq.heapify(heap)
+    promoted = set()
+    while heap:
+        negative, row = heapq.heappop(heap)
+        if row in promoted or -negative != count[row]:
+            continue  # stale entry
+        if count[row] == 0:
             break
-        if not progressed:
-            # Exhausted frontiers with nodes left can only happen if the
-            # graph were disconnected, which DynamicGraph guards against.
-            for node in (x for x in ids if x not in home):
-                home[node] = int(np.argmin(sizes))
-                sizes[home[node]] += 1
-            assigned = len(ids)
-    return home
-
-
-def partition_from_home(graph: DynamicGraph, home: Dict[int, int],
-                        shards: int) -> Partition:
-    """Promote a greedy vertex cover of the cut edges into the separator."""
-    cut_edges = [(u, v) for u, v in graph.edges() if home[u] != home[v]]
-    cross_count: Dict[int, int] = {}
-    for u, v in cut_edges:
-        cross_count[u] = cross_count.get(u, 0) + 1
-        cross_count[v] = cross_count.get(v, 0) + 1
-    separator = set()
-    # Greedy cover: repeatedly promote the endpoint covering the most
-    # still-uncovered cut edges (ties by id, for determinism).
-    remaining = list(cut_edges)
-    while remaining:
-        best = None
-        for node, count in sorted(cross_count.items()):
-            if count > 0 and (best is None or count > cross_count[best]):
-                best = node
-        if best is None:
-            break
-        separator.add(best)
-        still = []
-        for u, v in remaining:
-            if u == best or v == best:
-                cross_count[u] -= 1
-                cross_count[v] -= 1
-            else:
-                still.append((u, v))
-        remaining = still
-
-    parts: List[List[int]] = [[] for _ in range(shards)]
-    for node, part in home.items():
-        if node not in separator:
-            parts[part].append(node)
-    return Partition(
-        home=dict(home),
-        parts=tuple(tuple(sorted(part)) for part in parts),
-        separator=tuple(sorted(separator)),
-    )
+        promoted.add(row)
+        for col in cut[row]:
+            if col not in promoted:
+                count[col] -= 1
+                heapq.heappush(heap, (-count[col], col))
+    separator = np.asarray(sorted(promoted), dtype=np.int64)
+    interior = np.ones(len(homes), dtype=bool)
+    interior[separator] = False
+    parts = tuple(np.flatnonzero(interior & (home == part)) for part in range(shards))
+    return Partition(home=home, parts=parts, separator=separator)

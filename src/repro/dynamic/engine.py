@@ -40,7 +40,6 @@ Hit/miss, reweighting/top-up counters and per-pool ESS are exposed via
 from __future__ import annotations
 
 import copy
-import warnings
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -58,7 +57,7 @@ from repro.centrality.estimators import (
     batched_projected_estimates,
     rademacher_weights,
 )
-from repro.linalg.backends import ResistanceBackend, make_resistance_backend
+from repro.linalg.backends import ResistanceBackend
 from repro.centrality.result import CFCMResult
 from repro.dynamic.graph import ADD, ADD_NODE, REMOVE, REMOVE_NODE, DynamicGraph
 from repro.dynamic.resistance import IncrementalResistance
@@ -178,10 +177,6 @@ class DynamicCFCM:
         Optional :class:`SamplingConfig` forwarded to the sampling methods.
     pool_size:
         Number of forests kept per evaluation root set.
-    max_drift:
-        Deprecated and ignored.  Forest pools no longer flush on drift:
-        they importance-weight stored forests and top up on the ESS floor
-        (``ess_floor``).  Passing a value emits a :class:`DeprecationWarning`.
     refresh_interval:
         Staleness budget of the per-group incremental inverses.
     cache_capacity:
@@ -198,15 +193,18 @@ class DynamicCFCM:
         relaxes the floor towards ``min(0.25, ess_floor)`` — halving redraw
         volume at negligible accuracy cost — and quiet periods restore the
         configured floor.  Off by default for parity with historical
-        behaviour; the sharded engine enables it.
+        behaviour.
     backend:
         Resistance backend spec for the exact evaluation path: ``"dense"``
         (explicit inverse, the default), ``"sparse"`` (solver-backed, never
-        materialises the inverse) or ``"auto"`` (picks by graph
-        size/sparsity); forwarded to every
-        :class:`~repro.dynamic.IncrementalResistance` this engine creates.
+        materialises the inverse), ``"auto"`` (picks dense or sparse by
+        graph size/sparsity) or ``"sharded"`` (per-shard inner backends
+        stitched through a Schur complement over a vertex separator);
+        forwarded to every :class:`~repro.dynamic.IncrementalResistance`
+        this engine creates.
     backend_options:
-        Keyword arguments for the backend constructor (sparse backend only).
+        Keyword arguments for the backend constructor: the sparse backend's
+        solver options, or the sharded backend's ``shards`` and ``inner``.
     watchdog_interval:
         Probe the numerical health of every cached incremental inverse once
         per this-many synchronisations (the backward residual
@@ -219,7 +217,7 @@ class DynamicCFCM:
 
     def __init__(self, graph: DynamicGraph | Graph, seed: RandomState = None,
                  config: Optional[SamplingConfig] = None, pool_size: int = 24,
-                 max_drift: Optional[int] = None, refresh_interval: int = 64,
+                 refresh_interval: int = 64,
                  cache_capacity: int = 64, ess_floor: float = 0.5,
                  adaptive_ess_floor: bool = False,
                  backend: str | ResistanceBackend = "dense",
@@ -239,25 +237,16 @@ class DynamicCFCM:
                 "tracker needs its own"
             )
         backend = str(backend).lower()
-        if backend not in ("dense", "sparse", "auto"):
+        if backend not in ("dense", "sparse", "auto", "sharded"):
             raise InvalidParameterError(
                 f"unknown resistance backend {backend!r} (expected "
-                f"'dense', 'sparse' or 'auto')"
+                f"'dense', 'sparse', 'auto' or 'sharded')"
             )
         self.backend = backend
         self.backend_options = dict(backend_options) if backend_options else None
         self.rng = as_rng(seed)
         self.config = config
         self.pool_size = check_integer("pool_size", pool_size, minimum=1)
-        if max_drift is not None:
-            warnings.warn(
-                "max_drift is deprecated and ignored: forest pools now "
-                "importance-weight stored forests and top up on the ESS "
-                "floor (see the ess_floor parameter)",
-                DeprecationWarning, stacklevel=2,
-            )
-            check_integer("max_drift", max_drift, minimum=0)
-        self.max_drift = max_drift  # retained for introspection only
         self.ess_floor = float(ess_floor)
         if not 0.0 <= self.ess_floor <= 1.0:
             raise InvalidParameterError(
@@ -398,8 +387,7 @@ class DynamicCFCM:
         """The cached per-group incremental inverse, created on first use.
 
         The maintenance entry point behind :meth:`evaluate_exact`, exposed
-        so compositional front ends (the sharded engine's per-shard Schur
-        stitch) can reach the tracker's solve surface
+        so front ends can reach the tracker's solve surface
         (:meth:`~repro.dynamic.IncrementalResistance.resistance_column`,
         :attr:`~repro.dynamic.IncrementalResistance.kept`) without going
         through a scalar evaluation.  The tracker is LRU-cached under the
@@ -581,9 +569,7 @@ class DynamicCFCM:
         ``sampler(snapshot, compact_roots, count, seed)`` returning that many
         forests — either a :class:`~repro.sampling.batch.ForestBatch` or a
         list of :class:`repro.sampling.forest.Forest` objects — the asyncio
-        service passes its worker pool's sampler here, which defaults to the
-        lockstep vectorised kernel and falls back to a process pool only for
-        batches too large for it.
+        service passes its worker pool's lockstep sampler here.
         """
         if not self.graph.is_unit_weighted:
             raise InvalidParameterError(

@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "sparse solver-backed, or auto by graph size")
     parser.add_argument("--shards", type=int, default=1,
                         help="dynamic: with N > 1 the engine pass runs the "
-                             "sharded distributed backend (per-shard trackers "
+                             "sharded resistance backend (--backend per shard, "
                              "stitched by a global Schur complement)")
     parser.add_argument("--smoke", action="store_true",
                         help="serve: shrink the workload and gate on async/sync "

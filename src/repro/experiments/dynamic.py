@@ -70,12 +70,11 @@ def run_dynamic(k: int = 5, eps: float = 0.3, max_samples: int = 48,
         ``"auto"``); recorded on every row so the perf trajectory
         distinguishes the engines.
     shards:
-        With ``shards > 1`` the engine pass runs through
-        :class:`repro.distributed.ShardedCFCM` (one tracker per shard,
-        queries stitched by the global Schur complement) instead of the
-        single-tracker :class:`DynamicCFCM`; the scratch pass is unchanged,
-        so the speedup column compares the sharded engine against the same
-        from-scratch baseline.
+        With ``shards > 1`` the engine pass runs on the sharded resistance
+        backend (``backend`` becomes the inner backend of every shard, and
+        answers are stitched by the global Schur complement); the scratch
+        pass is unchanged, so the speedup column compares the sharded
+        engine against the same from-scratch baseline.
     metrics_prefix:
         When given, the run records onto :data:`repro.obs.REGISTRY` and the
         registry is written as ``<prefix>.prom``/``<prefix>.json`` at the
@@ -104,10 +103,10 @@ def run_dynamic(k: int = 5, eps: float = 0.3, max_samples: int = 48,
         rng = np.random.default_rng(seed)
         graph = DynamicGraph(base)
         if shards > 1:
-            from repro.distributed import ShardedCFCM
-
-            engine = ShardedCFCM(graph, shards=shards, seed=seed,
-                                 config=config, backend=backend)
+            engine = DynamicCFCM(graph, seed=seed, config=config,
+                                 backend="sharded",
+                                 backend_options={"shards": shards,
+                                                  "inner": backend})
         else:
             engine = DynamicCFCM(graph, seed=seed, config=config,
                                  backend=backend)

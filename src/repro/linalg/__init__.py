@@ -42,11 +42,6 @@ from repro.linalg.updates import (
     grounded_inverse_edge_update,
     grounded_inverse_grow,
 )
-from repro.linalg.sparsify import (
-    SparsifiedGraph,
-    spectral_relative_error,
-    spectral_sparsify,
-)
 
 __all__ = [
     "laplacian_matrix",
@@ -81,7 +76,4 @@ __all__ = [
     "grounded_inverse_downdate",
     "grounded_inverse_edge_update",
     "grounded_inverse_grow",
-    "SparsifiedGraph",
-    "spectral_relative_error",
-    "spectral_sparsify",
 ]

@@ -34,7 +34,11 @@ the representation underneath is swapped:
 
 ``choose_backend`` implements the ``auto`` policy (dense while the dense
 inverse is small enough to win, sparse beyond); ``make_resistance_backend``
-resolves user-facing specs (``"dense" | "sparse" | "auto"`` or an instance).
+resolves user-facing specs (``"dense" | "sparse" | "auto" | "sharded"`` or
+an instance).  The ``sharded`` backend
+(:class:`repro.distributed.ShardedResistanceBackend`) stitches per-shard
+inner backends through a Schur complement over a vertex separator; ``auto``
+never selects it.
 """
 
 from __future__ import annotations
@@ -197,7 +201,7 @@ class ResistanceBackend:
         folded since the last factorisation, so ``inv(M) B`` for the most
         recent ``count`` columns costs only a correction re-apply — no new
         solves.  Consumers that need exactly those solves (the sharded
-        engine's Schur stitch re-derives the pre-burst inverse from them)
+        backend's Schur stitch re-derives the pre-burst inverse from them)
         ask here first and fall back to :meth:`solve_many`.
 
         Returns ``(rows_i, rows_j, deltas, corrected)`` where row pairs and
@@ -214,7 +218,7 @@ class ResistanceBackend:
         """Deterministic Rademacher probes ``Z`` and their solves ``inv(M) Z``.
 
         Shared by Hutchinson-style consumers (trace sketches, the sharded
-        engine's coupling estimates) so they agree on one probe stream and
+        backend's coupling estimates) so they agree on one probe stream and
         one cached solve block per epoch.  The generic implementation pays
         ``probe_count`` solves on first use per epoch; backends holding a
         cheaper path (cached base solves plus a correction) override it.
@@ -642,11 +646,12 @@ def make_resistance_backend(spec: BackendSpec = "dense",
                             n: int = 0, m: int = 0,
                             options: Optional[Dict[str, object]] = None,
                             ) -> ResistanceBackend:
-    """Resolve a backend spec (``"dense" | "sparse" | "auto"`` or instance).
+    """Resolve a backend spec (``"dense" | "sparse" | "auto" | "sharded"``).
 
     ``n``/``m`` size the ``auto`` decision; ``options`` are keyword
-    arguments for the :class:`SparseResistanceBackend` constructor (ignored
-    by the dense backend, rejected alongside an instance spec).
+    arguments for the :class:`SparseResistanceBackend` or
+    :class:`repro.distributed.ShardedResistanceBackend` constructor
+    (rejected by the dense backend and alongside an instance spec).
     """
     if isinstance(spec, ResistanceBackend):
         if options:
@@ -665,7 +670,11 @@ def make_resistance_backend(spec: BackendSpec = "dense",
         return DenseResistanceBackend()
     if name == "sparse":
         return SparseResistanceBackend(**(options or {}))
+    if name == "sharded":
+        from repro.distributed.backend import ShardedResistanceBackend
+
+        return ShardedResistanceBackend(**(options or {}))
     raise InvalidParameterError(
-        f"unknown resistance backend {spec!r} (expected 'dense', 'sparse' "
-        f"or 'auto')"
+        f"unknown resistance backend {spec!r} (expected 'dense', 'sparse', "
+        f"'auto' or 'sharded')"
     )

@@ -17,9 +17,10 @@ an untrusted store.  Writes go to a temporary sibling and are renamed into
 place, so a crash mid-checkpoint never leaves a truncated archive behind.
 
 Quiescing: :func:`checkpoint_engine` first folds every pending journal
-event into every cached consumer and refactorises solver-backed (sparse)
-trackers, so their implicit low-rank correction is empty and the base
-factor is fully determined by the (serialised) graph.  Dense trackers keep
+event into every cached consumer and refactorises every tracker whose
+backend is not the explicit dense inverse (sparse, sharded), so its
+low-rank correction is empty and its factor state is fully determined by
+the (serialised) graph.  Dense trackers keep
 their Woodbury-accumulated inverse verbatim — a refactorisation would *not*
 be bit-equal to the drifted product the live engine continues from.  The
 projected (JL-sketched) estimator caches are deliberately dropped: they are
@@ -137,19 +138,21 @@ def checkpoint_engine(engine, path: str) -> str:
     """Serialise ``engine`` (quiesced) to ``path``; returns the path written.
 
     Quiesces first: pending journal events are folded into every pool and
-    tracker, and sparse trackers refactorise so their base factor matches
-    the serialised graph exactly.  The engine remains fully usable — the
-    quiesce is the same maintenance any query would have performed.
+    tracker, and non-dense trackers refactorise so their factor state
+    matches the serialised graph exactly.  The engine remains fully
+    usable — the quiesce is the same maintenance any query would have
+    performed.
     """
-    from repro.linalg.backends import DenseResistanceBackend, SparseResistanceBackend
+    from repro.linalg.backends import DenseResistanceBackend
 
     engine._sync_pools()
     for tracker in engine._trackers.values():
         tracker.sync()
-        if isinstance(tracker.backend, SparseResistanceBackend):
-            # Fold the implicit low-rank correction into a fresh base factor:
-            # the restored side rebuilds the identical factorisation from the
-            # serialised graph (splu is deterministic on an identical matrix).
+        if not isinstance(tracker.backend, DenseResistanceBackend):
+            # Fold the low-rank correction into a fresh factorisation: the
+            # restored side rebuilds the identical state from the serialised
+            # graph (splu and the sharded partition are deterministic on an
+            # identical matrix).
             tracker._factorize()
 
     arrays: Dict[str, np.ndarray] = {}
@@ -239,7 +242,7 @@ def checkpoint_engine(engine, path: str) -> str:
         dense = isinstance(backend, DenseResistanceBackend)
         entry = {
             "group": [int(g) for g in group],
-            "kind": "dense" if dense else "sparse",
+            "kind": backend.name,
             "synced_version": int(tracker._synced_version),
             "updates_since_refresh": int(tracker._updates_since_refresh),
             "stats": _stats_to_dict(tracker.stats),
@@ -250,7 +253,7 @@ def checkpoint_engine(engine, path: str) -> str:
         if dense:
             arrays[f"trk{j}_inverse"] = np.asarray(backend.inverse,
                                                    dtype=np.float64)
-        else:
+        elif hasattr(backend, "_factor_count"):
             # The sketched-diagonal probe stream is seeded by the factor
             # counter; carrying it over keeps post-restore sketches bit-equal.
             entry["factor_count"] = int(backend._factor_count)
@@ -271,10 +274,10 @@ def restore_engine(path: str):
 
     The restored engine continues bit-equal with the checkpointed one: same
     RNG stream, same cached state, same factor state (dense inverses are
-    restored verbatim; sparse base factors are re-derived from the identical
-    serialised graph).  Journal events recorded after the checkpoint can be
-    replayed onto :attr:`DynamicCFCM.graph` to reconverge with a crashed
-    primary.
+    restored verbatim; sparse and sharded factor state is re-derived from
+    the identical serialised graph).  Journal events recorded after the
+    checkpoint can be replayed onto :attr:`DynamicCFCM.graph` to reconverge
+    with a crashed primary.
     """
     from repro.centrality.estimators import PathSystem, SamplingConfig
     from repro.dynamic.engine import DynamicCFCM
@@ -361,7 +364,7 @@ def restore_engine(path: str):
             kind = entry["kind"]
             watchdog = (None if entry["watchdog"] is None
                         else ResidualWatchdog.from_state(entry["watchdog"]))
-            options = spec["backend_options"] if kind == "sparse" else None
+            options = spec["backend_options"] if kind != "dense" else None
             tracker = IncrementalResistance(
                 graph, group, refresh_interval=spec["refresh_interval"],
                 backend=kind, backend_options=options, watchdog=watchdog,
@@ -381,7 +384,7 @@ def restore_engine(path: str):
                                              dtype=np.float64)
                 backend._n = int(backend.inverse.shape[0])
                 backend._invalidate()
-            else:
+            elif "factor_count" in entry:
                 tracker.backend._factor_count = int(entry["factor_count"])
             engine._trackers[group] = tracker
     return engine

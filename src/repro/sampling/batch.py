@@ -54,17 +54,17 @@ a per-forest Python pass.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional
 
 import numpy as np
 
-from repro.exceptions import DisconnectedGraphError, GraphError, InvalidParameterError
+from repro.exceptions import GraphError, InvalidParameterError
 from repro.graph.graph import Graph
 from repro.obs.metrics import REGISTRY, SIZE_BUCKETS
 from repro.obs.tracing import trace
 from repro.sampling.forest import Forest
+from repro.sampling.wilson import require_rooted_components, sample_rooted_forest
 from repro.utils.rng import RandomState, as_rng
 from repro.utils.validation import check_group
 
@@ -81,7 +81,7 @@ _LOCKSTEP_FORESTS = REGISTRY.histogram(
 # The lockstep sampler keeps O(B * n) state (arrow field + working set) and
 # indexes it with int32; batches whose state would exceed this many entries
 # are drawn in internal chunks, and dispatchers fall back to the scalar
-# (optionally process-pooled) path beyond it.
+# path beyond it.
 LOCKSTEP_STATE_LIMIT = 1 << 25
 
 # Hand the residue to the scalar finish once fewer than (B * n) >> SWITCH
@@ -401,6 +401,7 @@ def sample_forest_batch_vectorized(graph: Graph, roots, count: int,
     root_arr = np.asarray(list(roots), dtype=np.int64)
     if count == 0:
         return ForestBatch(parent=np.empty((0, n), dtype=np.int64), roots=root_arr)
+    require_rooted_components(graph, roots)
 
     _LOCKSTEP_FORESTS.observe(count)
     with trace("sampling.lockstep", forests=count, n=n) as span:
@@ -410,9 +411,7 @@ def sample_forest_batch_vectorized(graph: Graph, roots, count: int,
             # The kernel's int32 pair/CSR indexing would overflow (huge n or
             # adjacency), or a hub's degree exceeds the float32 mantissa so
             # the cheap arrow draw could not reach all its neighbours; this
-            # regime belongs to the scalar (optionally process-pooled) path.
-            from repro.sampling.wilson import sample_rooted_forest
-
+            # regime belongs to the scalar path.
             span.set(path="scalar")
             rows = [sample_rooted_forest(graph, roots, seed=rng).parent
                     for _ in range(count)]
@@ -445,11 +444,6 @@ def _sample_chunk(graph: Graph, root_arr: np.ndarray, batch: int,
     degrees_f = graph.degrees.astype(np.float32)
     root_mask = np.zeros(n, dtype=bool)
     root_mask[root_arr] = True
-    isolated = np.flatnonzero(~root_mask & (graph.degrees == 0))
-    if isolated.size:
-        raise DisconnectedGraphError(
-            f"node {int(isolated[0])} has no neighbours; the graph must be connected"
-        )
 
     def draw_arrows(nodes: np.ndarray) -> np.ndarray:
         """One uniform-neighbour arrow per node (float32 keeps draws cheap)."""
@@ -545,7 +539,6 @@ def _scalar_finish(graph: Graph, root_arr: np.ndarray, parent: np.ndarray,
     block_size = 4096
     randoms = rng.random(block_size).tolist()
     cursor = 0
-    max_visits = 200 * n * max(int(math.log(max(n, 2))), 1) + 10000
 
     start = 0
     total = sample_of.size
@@ -562,7 +555,6 @@ def _scalar_finish(graph: Graph, root_arr: np.ndarray, parent: np.ndarray,
         fresh = bytearray(n)
         for u in sources:
             fresh[u] = 1
-        visits = 0
         for source in sources:
             source = int(source)
             if in_forest[source]:
@@ -585,12 +577,6 @@ def _scalar_finish(graph: Graph, root_arr: np.ndarray, parent: np.ndarray,
                     nxt = adjacency[indptr[current] + pick]
                     parent_list[current] = nxt
                     current = nxt
-                visits += 1
-                if visits > max_visits:
-                    raise DisconnectedGraphError(
-                        "random walk failed to reach the root set; "
-                        "is the graph connected?"
-                    )
             current = source
             while not in_forest[current]:
                 in_forest[current] = 1

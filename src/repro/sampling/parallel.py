@@ -1,18 +1,16 @@
-"""Batch forest sampling: lockstep vectorised kernel with scalar fallbacks.
+"""Batch forest sampling: lockstep vectorised kernel with a scalar fallback.
 
 The paper stresses that both algorithms are "pleasingly parallelizable":
 every sampled forest is independent, so batches can be drawn together.  This
 module provides the batching front end:
 
 * :func:`batched_seeds` — derive independent child seeds from one master seed
-  so scalar-path results are reproducible regardless of how the batch is
-  split;
+  so scalar-path results are reproducible;
 * :func:`sample_forest_batch` — draw a batch, dispatching to the lockstep
   vectorised kernel of :mod:`repro.sampling.batch` by default.  The scalar
-  per-forest path (optionally on a :class:`~concurrent.futures.\
-ProcessPoolExecutor` — processes, not threads, because the scalar sampler is
-  pure Python and GIL-bound) remains as the fallback for batches whose
-  lockstep state would not fit comfortably in memory.
+  per-forest path remains as the fallback for batches whose lockstep state
+  would not fit comfortably in memory, and as the chi-square reference the
+  lockstep kernel is tested against.
 
 The estimator accumulators consume forests one at a time (or a
 :class:`~repro.sampling.batch.ForestBatch` at once), so the batching layer is
@@ -20,10 +18,10 @@ deliberately independent of them: callers draw a batch and fold it in,
 keeping the statistical code single-threaded and simple.
 """
 
+
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.exceptions import InvalidParameterError
 from repro.graph.graph import Graph
@@ -44,14 +42,8 @@ def batched_seeds(seed: RandomState, count: int) -> List[int]:
     return [int(value) for value in rng.integers(0, 2**62, size=count)]
 
 
-def _sample_one(args) -> Forest:
-    graph, roots, seed = args
-    return sample_rooted_forest(graph, roots, seed=seed)
-
-
 def sample_forest_batch(graph: Graph, roots: Sequence[int], count: int,
                         seed: RandomState = None,
-                        workers: Optional[int] = None,
                         method: str = "auto") -> List[Forest]:
     """Sample ``count`` independent rooted forests as one batch.
 
@@ -64,21 +56,14 @@ def sample_forest_batch(graph: Graph, roots: Sequence[int], count: int,
     seed:
         Master seed.  The lockstep path consumes one stream for the whole
         batch; the scalar path derives per-forest seeds with
-        :func:`batched_seeds`, so a scalar batch is identical whether it is
-        drawn sequentially or by any number of workers.  (The two paths
-        draw different — equally distributed — batches for the same seed.)
-    workers:
-        Process count for the *scalar* path: ``None`` or ``1`` samples
-        sequentially, larger values use a
-        :class:`concurrent.futures.ProcessPoolExecutor`.  Ignored by the
-        lockstep path, which needs no processes.
+        :func:`batched_seeds`.  (The two paths draw different — equally
+        distributed — batches for the same seed.)
     method:
         ``"lockstep"`` forces the vectorised kernel, ``"scalar"`` the
-        per-forest loop (and honours ``workers``); the default ``"auto"``
-        picks lockstep unless the batch state ``count * n`` exceeds
+        per-forest loop; the default ``"auto"`` picks lockstep unless the
+        batch state ``count * n`` exceeds
         :data:`repro.sampling.batch.LOCKSTEP_STATE_LIMIT` entries, in which
-        case the scalar path (with its process pool, when ``workers`` is
-        set) takes over.
+        case the scalar path takes over.
     """
     if count < 0:
         raise InvalidParameterError(f"count must be non-negative, got {count}")
@@ -92,12 +77,5 @@ def sample_forest_batch(graph: Graph, roots: Sequence[int], count: int,
     if method == "lockstep":
         return sample_forest_batch_vectorized(graph, roots, count, seed=seed).forests()
 
-    seeds = batched_seeds(seed, count)
-    if not seeds:
-        return []
-    if workers is None or workers <= 1 or count == 1:
-        return [sample_rooted_forest(graph, roots, seed=s) for s in seeds]
-
-    tasks = [(graph, list(roots), s) for s in seeds]
-    with ProcessPoolExecutor(max_workers=int(workers)) as pool:
-        return list(pool.map(_sample_one, tasks))
+    return [sample_rooted_forest(graph, roots, seed=s)
+            for s in batched_seeds(seed, count)]

@@ -483,7 +483,7 @@ class WeightedForestPool:
         """Add freshly drawn forests (log-weight 0), evicting down to capacity.
 
         ``forests`` is a :class:`ForestBatch` or a list of
-        :class:`~repro.sampling.forest.Forest` (the process-pool sampler's
+        :class:`~repro.sampling.forest.Forest` (the scalar sampler's
         output).  Eviction removes the lowest-weight forests first, so stale
         mass makes way for fresh draws.  Returns the number admitted.
         """

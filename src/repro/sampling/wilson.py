@@ -17,12 +17,41 @@ from __future__ import annotations
 from typing import List, Sequence
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from repro.exceptions import DisconnectedGraphError, InvalidParameterError
 from repro.graph.graph import Graph
 from repro.sampling.forest import Forest
 from repro.utils.rng import RandomState, as_rng
 from repro.utils.validation import check_group
+
+
+def require_rooted_components(graph: Graph, roots: Sequence[int]) -> None:
+    """Raise :class:`DisconnectedGraphError` unless every component has a root.
+
+    Wilson walks from a node terminate almost surely exactly when the node's
+    connected component holds a root, so this one O(m) check up front is
+    the whole termination guarantee — no walk-length budget is needed (a
+    budget wrongly rejects connected graphs with Θ(n²) expected walks, such
+    as long paths and rings).
+    """
+    n = graph.n
+    adjacency = sp.csr_matrix(
+        (np.ones(graph.adjacency.size), graph.adjacency, graph.indptr),
+        shape=(n, n),
+    )
+    count, labels = connected_components(adjacency, directed=False)
+    if count == 1:
+        return
+    rooted = np.zeros(count, dtype=bool)
+    rooted[labels[np.asarray(list(roots), dtype=np.int64)]] = True
+    orphans = np.flatnonzero(~rooted[labels])
+    if orphans.size:
+        raise DisconnectedGraphError(
+            f"node {int(orphans[0])} lies in a connected component without a "
+            f"root; every component must contain a root node"
+        )
 
 
 def sample_rooted_forest(graph: Graph, roots: Sequence[int],
@@ -50,6 +79,7 @@ def sample_rooted_forest(graph: Graph, roots: Sequence[int],
     :class:`repro.sampling.Forest` with parent pointers into the graph.
     """
     roots = check_group(roots, graph.n, allow_empty=False)
+    require_rooted_components(graph, roots)
     rng = as_rng(seed)
 
     n = graph.n
@@ -73,9 +103,6 @@ def sample_rooted_forest(graph: Graph, roots: Sequence[int],
     randoms = rng.random(block_size).tolist()
     cursor = 0
 
-    visit_budget = 0
-    max_visits = 200 * n * max(int(np.log(max(n, 2))), 1) + 10000
-
     for source in sources:
         if in_forest[source]:
             continue
@@ -84,10 +111,6 @@ def sample_rooted_forest(graph: Graph, roots: Sequence[int],
         current = source
         while not in_forest[current]:
             degree = degrees[current]
-            if degree == 0:
-                raise DisconnectedGraphError(
-                    f"node {current} has no neighbours; the graph must be connected"
-                )
             if cursor >= block_size:
                 randoms = rng.random(block_size).tolist()
                 cursor = 0
@@ -98,11 +121,6 @@ def sample_rooted_forest(graph: Graph, roots: Sequence[int],
             nxt = adjacency[indptr[current] + pick]
             parent[current] = nxt
             current = nxt
-            visit_budget += 1
-            if visit_budget > max_visits:
-                raise DisconnectedGraphError(
-                    "random walk failed to reach the root set; is the graph connected?"
-                )
         # Phase 2: freeze the loop-erased path from the source to the forest.
         current = source
         while not in_forest[current]:

@@ -258,9 +258,10 @@ class WorldSpec:
     selects the execution front end: ``"engine"`` drives a synchronous
     :class:`repro.dynamic.DynamicCFCM` directly, ``"service"`` runs the same
     world through :class:`repro.service.AsyncCFCMService` (single writer,
-    concurrent reads), and ``"sharded"`` drives a
-    :class:`repro.distributed.ShardedCFCM` split into ``shards`` parts (the
-    ``shards`` axis is ignored by the other modes).  ``seed`` pins graph
+    concurrent reads), and ``"sharded"`` drives a ``DynamicCFCM`` on the
+    sharded backend split into ``shards`` parts, with ``backend`` as the
+    inner backend of every shard (the ``shards`` axis is ignored by the
+    other modes).  ``seed`` pins graph
     construction, churn draws and estimator sampling, so a spec is a
     complete reproduction recipe.
     """
@@ -293,11 +294,6 @@ class WorldSpec:
                 f"unknown mode {self.mode!r} (expected one of {MODES})"
             )
         check_integer("shards", self.shards, minimum=1)
-        if self.mode == "sharded" and self.faults.active:
-            raise InvalidParameterError(
-                "sharded worlds do not support fault regimes yet (the "
-                "distributed engine has no chaos seams)"
-            )
         self.churn.validate()
         self.traffic.validate()
         self.estimator.validate()

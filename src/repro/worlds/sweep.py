@@ -3,9 +3,8 @@
 :func:`run_world` executes one :class:`repro.worlds.WorldSpec` against the
 serving stack — a synchronous :class:`repro.dynamic.DynamicCFCM`, in
 ``mode="service"`` the same engine behind
-:class:`repro.service.AsyncCFCMService`, or in ``mode="sharded"`` the
-partitioned :class:`repro.distributed.ShardedCFCM` — and returns one flat
-result row.
+:class:`repro.service.AsyncCFCMService`, or in ``mode="sharded"`` the engine
+on the sharded resistance backend — and returns one flat result row.
 
 Measurement discipline (enforced by ``scripts/check_no_adhoc_timing.py``):
 the sweep grows **no timing code of its own**.  Latency percentiles are read
@@ -245,6 +244,12 @@ def run_world(spec: WorldSpec, verbose: bool = False) -> Dict[str, object]:
     engine_kwargs: Dict[str, object] = (
         {"watchdog_interval": 1} if faulted else {}
     )
+    backend = spec.backend
+    if spec.mode == "sharded":
+        # The world's backend axis is the inner backend of every shard.
+        backend = "sharded"
+        engine_kwargs["backend_options"] = {"shards": spec.shards,
+                                            "inner": spec.backend}
 
     was_enabled = obs.REGISTRY.enabled
     obs.REGISTRY.reset()
@@ -256,7 +261,7 @@ def run_world(spec: WorldSpec, verbose: bool = False) -> Dict[str, object]:
 
             service = AsyncCFCMService(
                 graph, seed=spec.seed, config=config, workers=2,
-                backend=spec.backend, pool_size=spec.estimator.pool_size,
+                backend=backend, pool_size=spec.estimator.pool_size,
                 ess_floor=spec.estimator.ess_floor,
                 retry_policy=RetryPolicy() if faulted else None,
                 **engine_kwargs,
@@ -267,22 +272,11 @@ def run_world(spec: WorldSpec, verbose: bool = False) -> Dict[str, object]:
                 events = asyncio.run(_drive_service(
                     spec, service, driver, monitor, rng,
                     failures if faulted else None))
-        elif spec.mode == "sharded":
-            from repro.distributed import ShardedCFCM
-
-            # spec.validate() rejects sharded+faults, so no injector here.
-            engine = ShardedCFCM(
-                graph, shards=spec.shards, seed=spec.seed, config=config,
-                pool_size=spec.estimator.pool_size,
-                ess_floor=spec.estimator.ess_floor, backend=spec.backend,
-            )
-            unbind = obs.bind_engine_health(engine)
-            events = _drive_engine(spec, engine, driver, monitor, rng, None)
         else:
             engine = DynamicCFCM(
                 graph, seed=spec.seed, config=config,
                 pool_size=spec.estimator.pool_size,
-                ess_floor=spec.estimator.ess_floor, backend=spec.backend,
+                ess_floor=spec.estimator.ess_floor, backend=backend,
                 **engine_kwargs,
             )
             unbind = obs.bind_engine_health(engine)
@@ -349,8 +343,6 @@ def run_world(spec: WorldSpec, verbose: bool = False) -> Dict[str, object]:
         })
         row["wall_seconds"] = clock() - started
         unbind()
-        if spec.mode == "sharded":
-            engine.close()
     finally:
         if not was_enabled:
             obs.REGISTRY.disable()
@@ -466,9 +458,9 @@ def smoke_specs() -> List[WorldSpec]:
                   churn=ChurnSpec(regime="none", events=0),
                   traffic=TrafficSpec(mix="read_heavy"),
                   backend="auto", estimator=estimator, seed=17),
-        # Sharded world: bursty joins force structural re-partitions while
-        # keeping weights at unity, so the merged-ESS forest path, the Schur
-        # stitch and the rebuild path all run under the smoke gates.
+        # Sharded world: bursty joins refactorise (and re-partition) the
+        # sharded backend while keeping weights at unity, so the Schur
+        # stitch and the re-partition path run under the smoke gates.
         WorldSpec(topology="lattice", n=64,
                   churn=ChurnSpec(regime="bursty_joins", events=12),
                   traffic=TrafficSpec(mix="mixed"),
@@ -485,20 +477,20 @@ def faulted_smoke_specs() -> List[WorldSpec]:
     injected failures).  Regimes are matched to what each world can
     exercise: ``numerical_drift`` needs a dense tracked inverse to corrupt,
     ``worker_crash`` needs the service front end, and ``solver_flaky`` /
-    ``chaos`` bite everywhere.  Sharded worlds are skipped — the distributed
-    engine has no chaos seams yet and its specs reject fault regimes.  Gated
-    by ``python -m repro.experiments worlds --smoke --faults``.
+    ``chaos`` bite everywhere (the sharded world's inner backends carry the
+    same solver seams).  Gated by
+    ``python -m repro.experiments worlds --smoke --faults``.
     """
     regimes = ("solver_flaky", "numerical_drift", "solver_flaky",
-               "numerical_drift", "solver_flaky", "worker_crash", "chaos")
-    faultable = [spec for spec in smoke_specs() if spec.mode != "sharded"]
+               "numerical_drift", "solver_flaky", "worker_crash", "chaos",
+               "chaos")
     return [
         # Drift worlds roll only on tracker syncs (far fewer draws than the
         # solver seams see), so they get a higher per-call rate to guarantee
         # the corruption/watchdog-heal path actually runs in CI.
         dataclasses.replace(spec, faults=FaultSpec(
             regime=regime, rate=0.75 if regime == "numerical_drift" else 0.25))
-        for spec, regime in zip(faultable, regimes)
+        for spec, regime in zip(smoke_specs(), regimes)
     ]
 
 

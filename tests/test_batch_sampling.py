@@ -26,6 +26,7 @@ from repro.linalg.schur import absorption_probabilities
 from repro.sampling import (
     Forest,
     ForestBatch,
+    sample_forest_batch,
     sample_forest_batch_vectorized,
     sample_rooted_forest,
 )
@@ -294,3 +295,34 @@ class TestDistributionalEquivalence:
     def test_empirical_distribution_rows_sum_to_one(self, karate):
         empirical = empirical_root_distribution(karate, [0, 33], 50, seed=1)
         assert np.allclose(empirical.sum(axis=1), 1.0)
+
+
+class TestRootedComponentCheck:
+    """Connected graphs with Θ(n²) expected walks must never be rejected."""
+
+    @pytest.mark.parametrize("method", ["scalar", "lockstep"])
+    def test_long_path_is_sampled(self, method):
+        graph = generators.path_graph(1000)
+        forests = sample_forest_batch(graph, [0], 2, seed=0, method=method)
+        assert len(forests) == 2
+        for forest in forests:
+            forest.validate_against(graph)
+
+    @pytest.mark.parametrize("method", ["scalar", "lockstep"])
+    def test_long_ring_is_sampled(self, method):
+        graph = generators.cycle_graph(600)
+        forests = sample_forest_batch(graph, [0], 2, seed=1, method=method)
+        for forest in forests:
+            forest.validate_against(graph)
+
+    @pytest.mark.parametrize("method", ["scalar", "lockstep"])
+    def test_component_without_root_still_raises(self, method):
+        graph = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+        with pytest.raises(DisconnectedGraphError):
+            sample_forest_batch(graph, [0], 2, seed=0, method=method)
+
+    def test_every_component_rooted_is_accepted(self):
+        graph = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+        batch = sample_forest_batch_vectorized(graph, [0, 5], 4, seed=0)
+        assert np.all(batch.root_of()[:, :3] == 0)
+        assert np.all(batch.root_of()[:, 3:] == 5)

@@ -547,30 +547,6 @@ class TestSamplerContract:
         assert engine.evaluate_forest([0]) > 0.0
 
 
-class TestDeprecationShim:
-    def test_max_drift_warns_and_is_ignored(self, karate):
-        import warnings
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            engine = DynamicCFCM(DynamicGraph(karate), seed=0, max_drift=5)
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-        assert engine.max_drift == 5  # introspection only
-        # The ESS policy runs regardless: insertions do not flush.
-        engine.evaluate_forest([0])
-        engine.graph.add_edge(15, 20)
-        engine.evaluate_forest([0])
-        assert engine.stats.pools_flushed == 0
-
-    def test_invalid_max_drift_still_rejected(self, karate):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(InvalidParameterError):
-                DynamicCFCM(DynamicGraph(karate), seed=0, max_drift=-1)
-
-
 class TestLRUPoolEviction:
     def test_eviction_records_stat_and_drops_health_state(self, karate):
         engine = DynamicCFCM(DynamicGraph(karate), seed=0, pool_size=4,
@@ -598,3 +574,54 @@ class TestLRUPoolEviction:
         graph.add_edge(15, 20)
         engine.sync()
         assert set(engine.stats.pool_ess) == {"1"}
+
+
+class TestAdaptiveFloor:
+    """Balance-heuristic insertion decay and churn-adaptive ESS floors."""
+
+    def test_adaptive_floor_relaxes_under_churn(self):
+        pool = WeightedForestPool([0], capacity=16, ess_floor=0.5,
+                                  adaptive_floor=True)
+        assert pool.effective_floor() == 0.5
+        # Sustained staleness mass folds into churn pressure and relaxes
+        # the floor toward the 0.25 bench optimum; a static pool keeps it.
+        pool._churn_accum = 4.0
+        pool.plan_refresh()
+        assert pool.effective_floor() < 0.5
+        assert pool.effective_floor() >= 0.25
+        static = WeightedForestPool([0], capacity=16, ess_floor=0.5)
+        static._churn_accum = 4.0
+        static.plan_refresh()
+        assert static.effective_floor() == 0.5
+
+    def test_floor_gauge_exposed_through_health(self):
+        graph = DynamicGraph(generators.grid_graph(6, 8))
+        engine = DynamicCFCM(graph, seed=3, pool_size=8, adaptive_ess_floor=True)
+        engine.evaluate_forest([0])
+        health = engine.pool_health()
+        assert list(health) == ["0"]
+        assert health["0"]["ess_floor"] == pytest.approx(0.5 * 8)
+        for u in range(0, 40, 4):
+            graph.add_edge(u, u + 7)
+        engine.evaluate_forest([0])
+        assert 0.25 * 8 <= engine.pool_health()["0"]["ess_floor"] <= 0.5 * 8
+
+    def test_balance_decay_prices_insertion_resistance(self):
+        graph = DynamicGraph(generators.grid_graph(6, 8))
+        engine = DynamicCFCM(graph, seed=0, pool_size=48)
+        group = (0,)
+        engine.evaluate_forest(group)
+        pool = engine._pools[graph.validate_group(group)]
+        u, v = 10, 19
+        cu, cv = engine._compact_endpoints(u, v)
+        prior = edge_inclusion_prior(graph.degree(u), graph.degree(v))
+        stale = engine._balance_decay(graph.validate_group(group), pool,
+                                      cu, cv, prior)
+        # The decay is the importance ratio R/(1+R) of the inserted unit
+        # edge; compare against the exact grounded resistance.
+        tracker = engine.tracker(group)
+        r_uv = (tracker.resistance_to_group(u) + tracker.resistance_to_group(v)
+                - 2 * tracker.resistance_column(u)[np.searchsorted(tracker.kept, v)])
+        expected = r_uv / (1.0 + r_uv)
+        assert 0.0 < stale <= 0.95
+        assert stale == pytest.approx(expected, abs=0.35)

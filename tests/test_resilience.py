@@ -426,8 +426,9 @@ class TestFaultedWorlds:
 
     def test_faulted_smoke_specs_overlay_regimes(self):
         specs = faulted_smoke_specs()
-        assert len(specs) == 7
+        assert len(specs) == 8
         assert all(spec.faults.active for spec in specs)
+        assert [s.mode for s in specs].count("sharded") == 1
         service_specs = [s for s in specs if s.mode == "service"]
         assert all(s.faults.regime == "worker_crash" for s in service_specs)
 

@@ -329,8 +329,6 @@ class TestWorkerLayer:
     def test_worker_pool_validation_and_close(self):
         with pytest.raises(ValueError):
             WorkerPool(workers=0)
-        with pytest.raises(ValueError):
-            WorkerPool(process_workers=-1)
 
         async def scenario():
             pool = WorkerPool(workers=1)

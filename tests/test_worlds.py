@@ -85,9 +85,9 @@ class TestWorldSpec:
 
         with pytest.raises(InvalidParameterError):
             make_spec(mode="sharded", shards=0).validate()
-        with pytest.raises(InvalidParameterError):
-            make_spec(mode="sharded",
-                      faults=FaultSpec(regime="chaos")).validate()
+        # Sharded worlds take fault regimes like every other mode.
+        spec = make_spec(mode="sharded", faults=FaultSpec(regime="chaos"))
+        assert spec.validate() is spec
 
 
 class TestWorldSampler:
