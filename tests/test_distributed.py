@@ -401,27 +401,34 @@ class TestShardedEngineContract:
         graph = grid()
         group = [0, 27]
         engine = sharded(graph, 3, inner="sparse", seed=4, pool_size=8)
+        engine.evaluate_exact(group)
         for u, v in list(graph.edges())[::7]:
             graph.update_weight(u, v, 1.5)
-        engine.evaluate_exact(group)
+        engine.evaluate_exact(group)  # folded, not refactorised
         path = str(tmp_path / "sharded.npz")
         engine.checkpoint(path)
 
-        # Crash-and-restore replays the same post-checkpoint journal.
-        def replay(g):
+        # Crash-and-restore replays the same post-checkpoint journal: edge
+        # events exercise the low-rank fold, the node join a refactorisation.
+        def edges(g):
             g.update_weight(3, 4, 2.5)
+            g.update_weight(20, 21, 1.7)
             g.add_edge(0, 9, 1.0)
+
+        def node(g):
             g.add_node(edges=[(10, 1.0), (40, 1.0)])
 
-        replay(graph)
         restored = DynamicCFCM.restore(path)
-        replay(restored.graph)
         assert restored.backend == "sharded"
         assert restored.evaluate_exact(group) == engine.evaluate_exact(group)
-        live = engine.tracker(group)
-        again = restored.tracker(group)
-        for node in (5, 20, 47):
-            assert again.resistance_to_group(node) == live.resistance_to_group(node)
+        for step in (edges, node):
+            step(graph)
+            step(restored.graph)
+            assert restored.evaluate_exact(group) == engine.evaluate_exact(group)
+            live, again = engine.tracker(group), restored.tracker(group)
+            assert again.stats.refreshes == live.stats.refreshes
+            for probe in (5, 20, 47):
+                assert again.resistance_to_group(probe) == live.resistance_to_group(probe)
 
     def test_watchdog_probes_sharded_backend(self):
         graph = grid()
