@@ -102,17 +102,8 @@ def _resistance(engine, node, group):
     return engine.tracker(group).resistance_to_group(node)
 
 
-#: Tracker refresh budget of the sharded engine.  The sharded backend keeps
-#: its own float hygiene (each inner backend refactorises at its own rank
-#: cap, the separator inverse is recomputed at fold rank 512), while a full
-#: refactorisation also re-solves every separator coupling, so the tracker
-#: only refreshes it after a long journal.
-SHARDED_REFRESH = 4096
-
-
 def _sharded(graph, shards: int, seed: int, inner: str) -> DynamicCFCM:
     return DynamicCFCM(graph, seed=seed, backend="sharded",
-                       refresh_interval=SHARDED_REFRESH,
                        backend_options={"shards": shards, "inner": inner})
 
 

@@ -43,6 +43,14 @@ follows by one block Woodbury; a full refresh from the exactly maintained
 triple joining two different interiors breaks block diagonality: the backend
 re-partitions and refactorises in place.  Node events are refactorised by
 the tracker (``supports_node_updates`` is False).
+
+**Refresh policy.**  The backend keeps its own float hygiene
+(``self_refreshing``): each inner backend is refactorised alone after
+:data:`INNER_REFRESH_UPDATES` folded triples (or its own smaller rank cap)
+and ``M`` is recomputed at :data:`SCHUR_REFRESH_RANK`, so the tracker's
+``refresh_interval`` does not apply.  A full refactorisation — which
+re-solves every separator coupling — runs only after
+:data:`FULL_REFRESH_UPDATES` low-rank updates (``max_updates``).
 """
 
 from __future__ import annotations
@@ -85,6 +93,11 @@ _SCHUR_REFRESHES_TOTAL = REGISTRY.counter(
 
 #: Accumulated fold rank after which ``M`` is recomputed from ``S_c``.
 SCHUR_REFRESH_RANK = 512
+#: Triples an inner backend folds before it is refactorised alone (capped
+#: further by the inner backend's own ``max_updates``).
+INNER_REFRESH_UPDATES = 64
+#: Low-rank updates after which the tracker refactorises the whole backend.
+FULL_REFRESH_UPDATES = 4096
 #: Coupling traces are exact up to this many block rows (sketched beyond),
 #: and always exact on a dense inner backend.
 EXACT_COUPLING_ROWS = 2048
@@ -150,8 +163,8 @@ class _Block:
 
     def apply(self, triples: List[Triple]) -> None:
         """Fold triples into the inner backend, refactorising at its rank cap."""
-        cap = self.backend.max_updates
-        if cap is None or len(self.pending) + len(triples) <= cap:
+        cap = min(INNER_REFRESH_UPDATES, self.backend.max_updates or INNER_REFRESH_UPDATES)
+        if len(self.pending) + len(triples) <= cap:
             self.backend.apply_triples(triples)
             self.pending.extend(triples)
             return
@@ -186,6 +199,8 @@ class ShardedResistanceBackend(ResistanceBackend):
     name = "sharded"
     wants_sparse = True
     supports_node_updates = False
+    self_refreshing = True
+    max_updates = FULL_REFRESH_UPDATES
 
     def __init__(self, shards: int = 2, inner: str = "auto"):
         super().__init__()
@@ -361,6 +376,16 @@ class ShardedResistanceBackend(ResistanceBackend):
 
     # ------------------------------------------------------------- mutations
     def apply_triples(self, triples: Sequence[Triple]) -> None:
+        """Fold a burst of edge triples in (see the module docstring).
+
+        Unlike the dense and sparse backends, a burst that raises may leave
+        the backend partly updated: the shards fold one after another, and
+        a later shard's inner update, fold core or refactorisation can fail
+        after earlier shards committed.  Every failure surfaces as
+        :class:`InvalidParameterError` or :class:`ConvergenceError`, and the
+        backend must be refactorised before the next read — which is what
+        :class:`repro.dynamic.IncrementalResistance` does on either error.
+        """
         fault_point("backend.apply", subject=self, backend=self.name)
         fresh: List[Triple] = []
         for i, j, delta in triples:
@@ -468,7 +493,10 @@ class ShardedResistanceBackend(ResistanceBackend):
         self._rank_folded += int(lam.size)
         if updated is None or self._rank_folded >= SCHUR_REFRESH_RANK:
             _SCHUR_REFRESHES_TOTAL.inc()
-            updated = np.linalg.inv(self._schur)
+            try:
+                updated = np.linalg.inv(self._schur)
+            except np.linalg.LinAlgError as exc:
+                raise InvalidParameterError(f"singular Schur complement: {exc}") from exc
             self._rank_folded = 0
         self._m = (updated + updated.T) * 0.5
         return int(lam.size)

@@ -967,14 +967,16 @@ class DynamicCFCM:
     def _compact_journal(self) -> None:
         """Ask the graph to drop the journal prefix all consumers have seen.
 
-        A cached tracker lagging more than ``refresh_interval`` events will
-        refresh from the snapshot rather than replay on its next sync, so it
-        never needs the old suffix — don't let it pin the floor (and the
-        journal's memory) at its stale version forever.
+        A cached tracker lagging more than ``refresh_interval`` events (or
+        its own larger budget, on a self-refreshing backend) will refresh
+        from the snapshot rather than replay on its next sync, so it never
+        needs the old suffix — don't let it pin the floor (and the journal's
+        memory) at its stale version forever.
         """
-        lag_floor = self.graph.version - self.refresh_interval
+        version = self.graph.version
         floor = self._pool_version
         for tracker in self._trackers.values():
+            lag_floor = version - max(self.refresh_interval, tracker.refresh_budget)
             floor = min(floor, max(tracker.synced_version, lag_floor))
         self.graph.compact(floor)
 

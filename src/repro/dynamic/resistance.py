@@ -29,7 +29,9 @@ The tracker therefore refreshes (re-factorises from the current graph state)
 
 * when the pending suffix would push the low-rank updates since the last
   factorisation past ``refresh_interval`` (clamped to the backend's own
-  ``max_updates`` correction-rank cap, when it has one),
+  ``max_updates`` correction-rank cap, when it has one; a backend that keeps
+  its own float hygiene — ``self_refreshing``, the sharded one — is
+  refreshed at its ``max_updates`` alone),
 * whenever a batch is singular (its capacitance matrix is not invertible),
   which for deletions means the grounded graph lost its last path to ground —
   the connectivity guards of :class:`DynamicGraph` make this rare, but
@@ -135,8 +137,10 @@ class IncrementalResistance:
         Staleness budget ``r``: when the pending journal suffix would push
         the number of low-rank updates since the last factorisation past
         ``r``, the synchronisation re-factorises from scratch instead.  The
-        effective budget is ``min(r, backend.max_updates)`` when the backend
-        caps its own correction rank.
+        effective budget (:attr:`refresh_budget`) is
+        ``min(r, backend.max_updates)`` when the backend caps its own
+        correction rank, and ``backend.max_updates`` alone when the backend
+        is ``self_refreshing``.
     backend:
         Resistance backend spec: ``"dense"`` (explicit inverse, the
         default — bit-identical to the historical engine), ``"sparse"``
@@ -174,9 +178,14 @@ class IncrementalResistance:
         self._factorize()
 
     @property
-    def _budget(self) -> int:
-        """Effective staleness budget (tracker policy ∧ backend rank cap)."""
+    def refresh_budget(self) -> int:
+        """Effective staleness budget (tracker policy ∧ backend rank cap).
+
+        A self-refreshing backend sets its own budget (its ``max_updates``).
+        """
         cap = self.backend.max_updates
+        if self.backend.self_refreshing and cap is not None:
+            return cap
         if cap is None:
             return self.refresh_interval
         return min(self.refresh_interval, cap)
@@ -249,7 +258,7 @@ class IncrementalResistance:
             self._factorize()
             self.stats.refreshes += 1
             return self
-        if self._updates_since_refresh + cost > self._budget:
+        if self._updates_since_refresh + cost > self.refresh_budget:
             self._factorize()
             self.stats.refreshes += 1
             return self
@@ -269,8 +278,9 @@ class IncrementalResistance:
             self._apply_edge_batch(batch)
         except (InvalidParameterError, ConvergenceError) as exc:
             # Singular capacitance or a solver that failed mid-batch: the
-            # backend contract guarantees nothing was committed, so a fresh
-            # factorisation of the current state is always a valid answer.
+            # backend committed nothing (or, the sharded one, awaits exactly
+            # this refactorisation), so a fresh factorisation of the current
+            # state is always a valid answer.
             self._factorize()
             self.stats.refreshes += 1
             if isinstance(exc, InvalidParameterError):

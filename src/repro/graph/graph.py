@@ -26,6 +26,7 @@ from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from repro.exceptions import GraphError, InvalidNodeError
 
@@ -67,6 +68,7 @@ class Graph:
         "_py_indptr",
         "_py_adjacency",
         "_py_degrees",
+        "_component_labels",
     )
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]]):
@@ -124,6 +126,7 @@ class Graph:
         self._py_indptr = None
         self._py_adjacency = None
         self._py_degrees = None
+        self._component_labels = None
 
         # Reverse-position map: for position p storing directed edge (u -> v),
         # _reverse_position[p] is the position storing (v -> u).
@@ -245,6 +248,22 @@ class Graph:
             self._py_adjacency = self.adjacency.tolist()
             self._py_degrees = self.degrees.tolist()
         return self._py_indptr, self._py_adjacency, self._py_degrees
+
+    def component_labels(self) -> np.ndarray:
+        """Connected-component label of every node, cached after the first call.
+
+        Labels run ``0 .. count - 1``.  The forest samplers check that every
+        component holds a root before they walk; the cache keeps that check
+        off the O(m) path when forests are drawn one at a time.
+        """
+        if self._component_labels is None:
+            adjacency = sp.csr_matrix(
+                (np.ones(self.adjacency.size), self.adjacency, self.indptr),
+                shape=(self._n, self._n),
+            )
+            _, labels = csgraph.connected_components(adjacency, directed=False)
+            self._component_labels = labels
+        return self._component_labels
 
     # -------------------------------------------------------------- matrices
     def adjacency_matrix(self) -> sp.csr_matrix:

@@ -92,7 +92,9 @@ class ResistanceBackend:
     :meth:`column`, :meth:`diag_entry`, :meth:`solve_many`) in between.
     Mutations that would make the matrix singular must raise
     :class:`repro.exceptions.InvalidParameterError` *without committing*,
-    which the tracker answers with a fresh factorisation.
+    which the tracker answers with a fresh factorisation.  (The sharded
+    backend may commit part of a failed burst; it relies on that
+    refactorisation, see its ``apply_triples``.)
 
     The base class owns the lazily materialised, version-cached column
     store: :meth:`column` solves a unit right-hand side on first access and
@@ -111,6 +113,10 @@ class ResistanceBackend:
     #: Optional cap on low-rank updates between factorisations; the tracker
     #: folds this into its refresh budget (``None`` = no backend-side cap).
     max_updates: Optional[int] = None
+    #: Whether the backend keeps its own float hygiene (refactorising its
+    #: parts at their own rank caps).  The tracker then ignores its
+    #: ``refresh_interval`` and refreshes at :attr:`max_updates` only.
+    self_refreshing = False
 
     def __init__(self) -> None:
         self._n = 0

@@ -17,8 +17,6 @@ from __future__ import annotations
 from typing import List, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from repro.exceptions import DisconnectedGraphError, InvalidParameterError
 from repro.graph.graph import Graph
@@ -31,25 +29,23 @@ def require_rooted_components(graph: Graph, roots: Sequence[int]) -> None:
     """Raise :class:`DisconnectedGraphError` unless every component has a root.
 
     Wilson walks from a node terminate almost surely exactly when the node's
-    connected component holds a root, so this one O(m) check up front is
-    the whole termination guarantee — no walk-length budget is needed (a
-    budget wrongly rejects connected graphs with Θ(n²) expected walks, such
-    as long paths and rings).
+    connected component holds a root, so this check up front is the whole
+    termination guarantee — no walk-length budget is needed (a budget
+    wrongly rejects connected graphs with Θ(n²) expected walks, such as long
+    paths and rings).  The component labelling is O(m) once per graph
+    (:meth:`Graph.component_labels` caches it); every later check costs
+    O(|S| + components).
     """
-    n = graph.n
-    adjacency = sp.csr_matrix(
-        (np.ones(graph.adjacency.size), graph.adjacency, graph.indptr),
-        shape=(n, n),
-    )
-    count, labels = connected_components(adjacency, directed=False)
+    labels = graph.component_labels()
+    count = int(labels.max()) + 1
     if count == 1:
         return
     rooted = np.zeros(count, dtype=bool)
     rooted[labels[np.asarray(list(roots), dtype=np.int64)]] = True
-    orphans = np.flatnonzero(~rooted[labels])
-    if orphans.size:
+    if not rooted.all():
+        orphan = int(np.argmax(labels == np.argmin(rooted)))
         raise DisconnectedGraphError(
-            f"node {int(orphans[0])} lies in a connected component without a "
+            f"node {orphan} lies in a connected component without a "
             f"root; every component must contain a root node"
         )
 

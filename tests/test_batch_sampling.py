@@ -326,3 +326,10 @@ class TestRootedComponentCheck:
         batch = sample_forest_batch_vectorized(graph, [0, 5], 4, seed=0)
         assert np.all(batch.root_of()[:, :3] == 0)
         assert np.all(batch.root_of()[:, 3:] == 5)
+
+    def test_component_labelling_is_computed_once_per_graph(self):
+        graph = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+        labels = graph.component_labels()
+        assert labels.tolist() == [0, 0, 0, 1, 1, 1]
+        sample_forest_batch(graph, [0, 5], 3, seed=0, method="scalar")
+        assert graph.component_labels() is labels

@@ -7,6 +7,7 @@ import pytest
 
 from repro import obs
 from repro.distributed import ShardedResistanceBackend, partition_rows
+from repro.distributed.backend import FULL_REFRESH_UPDATES, INNER_REFRESH_UPDATES
 from repro.dynamic import DynamicCFCM, DynamicGraph, poisson_traffic, replay_events
 from repro.exceptions import InvalidParameterError
 from repro.graph import generators
@@ -14,6 +15,7 @@ from repro.linalg import DenseResistanceBackend, make_resistance_backend
 from repro.obs.tracing import disable_tracing, enable_tracing
 from repro.resilience import FaultInjector, FaultPlan, FaultRule
 from repro.service import AsyncCFCMService
+from repro.utils.faultpoints import clear_gate, install_gate
 
 
 def grid(rows=6, cols=8):
@@ -246,7 +248,7 @@ class TestShardedEdgeCases:
 
     def test_inner_rank_cap_refactorises_block_alone(self):
         graph = grid(10, 10)
-        engine = sharded(graph, 2, inner="sparse", seed=0, refresh_interval=4096)
+        engine = sharded(graph, 2, inner="sparse", seed=0)
         group = [0]
         engine.evaluate_exact(group)
         sep = separator_nodes(engine, group)
@@ -259,6 +261,25 @@ class TestShardedEdgeCases:
         assert engine.tracker(group).stats.refreshes == 0
         blocks = backend_of(engine, group)._blocks
         assert max(block.backend._factor_count for block in blocks) > 1
+
+    def test_backend_sets_its_own_refresh_budget(self):
+        graph = grid(10, 10)
+        engine = sharded(graph, 2, inner="dense", seed=0)
+        group = [0]
+        engine.evaluate_exact(group)
+        tracker = engine.tracker(group)
+        assert tracker.refresh_budget == FULL_REFRESH_UPDATES
+        # Far more reweights than the engine's refresh_interval (64): the
+        # tracker never refactorises, each dense inner block refreshes alone.
+        edges = list(graph.edges())
+        for step in range(4):
+            for u, v in edges:
+                graph.update_weight(u, v, 1.0 + 0.1 * ((u + v + step) % 5))
+            engine.evaluate_exact(group)
+        assert tracker.stats.refreshes == 0
+        assert all(len(block.pending) <= INNER_REFRESH_UPDATES
+                   for block in tracker.backend._blocks)
+        assert_matches_reference(engine, graph, group)
 
     def test_triples_are_validated(self):
         backend = ShardedResistanceBackend(shards=2)
@@ -429,6 +450,42 @@ class TestShardedEngineContract:
             assert again.stats.refreshes == live.stats.refreshes
             for probe in (5, 20, 47):
                 assert again.resistance_to_group(probe) == live.resistance_to_group(probe)
+
+    def test_failed_burst_mid_fold_is_repaired_by_refactorisation(self):
+        graph = grid()
+        group = [0]
+        engine = sharded(graph, 3, inner="dense", seed=1)
+        engine.evaluate_exact(group)
+        tracker = engine.tracker(group)
+        blocks = tracker.backend._blocks
+        sep = separator_nodes(engine, group)
+        picks = []
+        for part in (0, len(blocks) - 1):
+            nodes = set(part_nodes(engine, group, part)) - set(group)
+            picks.append(next((u, v) for u, v in graph.edges()
+                              if u in nodes and v in nodes and not {u, v} & sep))
+        first, last = blocks[0].backend, blocks[-1].backend
+        first_epoch = first.epoch
+
+        class FailLastShard:
+            """Fault gate: the last shard's inner update fails."""
+
+            def check(self, site, subject=None, **labels):
+                if site == "backend.apply" and subject is last:
+                    raise InvalidParameterError("injected inner failure")
+
+        gate = FailLastShard()
+        install_gate(gate)
+        try:
+            for u, v in picks:
+                graph.update_weight(u, v, 2.0)
+            engine.evaluate_exact(group)
+        finally:
+            clear_gate(gate)
+        assert first.epoch > first_epoch  # the first shard had committed
+        assert tracker.stats.singular_refreshes == 1
+        assert tracker.backend._blocks[0].backend is not first
+        assert_matches_reference(engine, graph, group)
 
     def test_watchdog_probes_sharded_backend(self):
         graph = grid()
