@@ -41,11 +41,7 @@ from repro.experiments.report import (
     write_obs_artifacts,
 )
 from repro.graph import generators
-from repro.sampling import (
-    sample_forest_batch,
-    sample_forest_batch_vectorized,
-    sample_rooted_forest,
-)
+from repro.sampling import sample_forest_batch_vectorized, sample_rooted_forest
 
 BENCH_BATCH = 32
 
@@ -86,7 +82,8 @@ class TestBatchPostprocessing:
 
     def test_per_forest_subtree_sums(self, benchmark, sparse_graph):
         roots = _hub_roots(sparse_graph, 4)
-        forests = sample_forest_batch(sparse_graph, roots, BENCH_BATCH, seed=0)
+        forests = sample_forest_batch_vectorized(sparse_graph, roots,
+                                                 BENCH_BATCH, seed=0).forests()
         weights = np.ones((8, sparse_graph.n))
 
         def run():

@@ -57,7 +57,7 @@ from repro.sampling.batch import (
     LOCKSTEP_STATE_LIMIT,
     sample_forest_batch_vectorized,
 )
-from repro.sampling.wilson import sample_rooted_forest
+from repro.sampling.wilson import require_rooted_components, sample_rooted_forest
 from repro.utils.rng import RandomState, as_rng
 
 
@@ -165,13 +165,14 @@ class PathSystem:
 
     @classmethod
     def from_graph(cls, graph: Graph, roots: Sequence[int]) -> "PathSystem":
-        """The BFS-tree path system of ``graph`` (paths bounded by τ)."""
-        tree = bfs_tree(graph, sorted(set(int(r) for r in roots)))
-        if np.any(tree.depth < 0):
-            raise InvalidParameterError(
-                "graph must be connected for forest sampling"
-            )
-        return cls(tree.parent, roots)
+        """The BFS-tree path system of ``graph`` (paths bounded by τ).
+
+        Raises :class:`~repro.exceptions.DisconnectedGraphError` when a
+        connected component holds no root (no path can reach the roots).
+        """
+        roots = sorted(set(int(r) for r in roots))
+        require_rooted_components(graph, roots)
+        return cls(bfs_tree(graph, roots).parent, roots)
 
     @property
     def n(self) -> int:
@@ -382,9 +383,8 @@ class ForestAccumulator:
         if not self.roots:
             raise InvalidParameterError("root set must be non-empty")
         self.rng = as_rng(seed)
+        require_rooted_components(graph, self.roots)
         self.tree: BFSTree = bfs_tree(graph, self.roots)
-        if np.any(self.tree.depth < 0):
-            raise InvalidParameterError("graph must be connected for forest sampling")
         self.tau = int(self.tree.max_depth)
 
         n = graph.n

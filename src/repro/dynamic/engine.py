@@ -20,7 +20,9 @@ state that survive across graph mutations:
    the pool's effective sample size falls below ``ess_floor * pool_size``
    the next evaluation tops it up with a vectorised lockstep draw, evicting
    the lowest-weight forests.  Node removals remain structural (compact ids
-   shift), so they still evict/flush.
+   shift), so they still evict/flush.  Each pool also owns the path system
+   and JL projection its cached estimator rows are valid against, and
+   retires them in its own mutation hooks.
 3. **Incremental inverses** — :meth:`evaluate_exact` delegates to a cached
    :class:`repro.dynamic.IncrementalResistance` per group, which folds each
    pending journal suffix in as a single rank-``t`` Woodbury batch (O(n²t),
@@ -187,13 +189,6 @@ class DynamicCFCM:
         Fraction of ``pool_size``: when a pool's effective sample size falls
         below ``ess_floor * pool_size``, the next evaluation replaces its
         stale mass with fresh lockstep draws.
-    adaptive_ess_floor:
-        Let every pool tune its live ESS floor from observed churn
-        (:meth:`WeightedForestPool.effective_floor`): sustained churn
-        relaxes the floor towards ``min(0.25, ess_floor)`` — halving redraw
-        volume at negligible accuracy cost — and quiet periods restore the
-        configured floor.  Off by default for parity with historical
-        behaviour.
     backend:
         Resistance backend spec for the exact evaluation path: ``"dense"``
         (explicit inverse, the default), ``"sparse"`` (solver-backed, never
@@ -219,7 +214,6 @@ class DynamicCFCM:
                  config: Optional[SamplingConfig] = None, pool_size: int = 24,
                  refresh_interval: int = 64,
                  cache_capacity: int = 64, ess_floor: float = 0.5,
-                 adaptive_ess_floor: bool = False,
                  backend: str | ResistanceBackend = "dense",
                  backend_options: Optional[Dict[str, object]] = None,
                  watchdog_interval: int = 0,
@@ -232,8 +226,8 @@ class DynamicCFCM:
             # grounded matrix; the engine keeps a tracker per *group*, so a
             # shared instance would corrupt state across groups.
             raise InvalidParameterError(
-                "DynamicCFCM takes a backend spec string ('dense', 'sparse' "
-                "or 'auto'), not a backend instance — each cached group "
+                "DynamicCFCM takes a backend spec string ('dense', 'sparse', "
+                "'auto' or 'sharded'), not a backend instance — each cached group "
                 "tracker needs its own"
             )
         backend = str(backend).lower()
@@ -252,7 +246,6 @@ class DynamicCFCM:
             raise InvalidParameterError(
                 f"ess_floor must lie in [0, 1], got {ess_floor}"
             )
-        self.adaptive_ess_floor = bool(adaptive_ess_floor)
         self.refresh_interval = check_integer("refresh_interval", refresh_interval,
                                               minimum=1)
         self.cache_capacity = check_integer("cache_capacity", cache_capacity,
@@ -267,14 +260,9 @@ class DynamicCFCM:
         self.stats = EngineStats()
         self._query_cache: Dict[Tuple, Tuple[int, CFCMResult]] = {}
         self._eval_cache: Dict[Tuple, Tuple[int, float]] = {}
+        # One pool per root set; each owns its forests, weights, cached
+        # estimator rows and the path system / JL projection behind them.
         self._pools: Dict[Tuple[int, ...], WeightedForestPool] = {}
-        # Per-pool fixed path system (Lemma 3.3's P_{u,S}); each stored
-        # forest's trace contribution is cached against it, so evaluations
-        # only fold freshly drawn forests.
-        self._paths: Dict[Tuple[int, ...], PathSystem] = {}
-        # Per-pool JL weight matrix of the projected-gain evaluation; its
-        # lifetime tracks the path system's (same id space, same roots).
-        self._jl: Dict[Tuple[int, ...], np.ndarray] = {}
         self._trackers: Dict[Tuple[int, ...], IncrementalResistance] = {}
         self._pool_version = graph.version
 
@@ -433,51 +421,7 @@ class DynamicCFCM:
         the pool is topped up with fresh lockstep draws whenever its
         effective sample size falls below the ESS floor.
         """
-        if not self.graph.is_unit_weighted:
-            raise InvalidParameterError(
-                "forest evaluation assumes unit edge weights; use mode='exact'"
-            )
-        roots = self.graph.validate_group(group)
-        with trace("engine.evaluate_forest", roots=_pool_key(roots)) as span, \
-                _op_timer("evaluate_forest"):
-            self._sync_pools()
-            cache_key = ("forest", roots)
-            cached = self._eval_cache.get(cache_key)
-            if cached is not None and cached[0] == self.graph.version:
-                self.stats.eval_hits += 1
-                span.set(cache="hit")
-                _lru_store(self._eval_cache, cache_key, cached,
-                           self.cache_capacity)
-                return cached[1]
-            self.stats.eval_misses += 1
-            span.set(cache="miss")
-
-            snapshot = self.graph.snapshot()
-            compact_roots = self.graph.compact_nodes(roots)
-            pool = self._require_pool(roots, compact_roots)
-            self.stats.forests_kept += pool.size
-            self._top_up(pool, snapshot, compact_roots)
-
-            # One weight-aware batched fold — and only over the forests whose
-            # trace contribution is not already cached against the pool's
-            # path system (fresh draws, or everything after a path
-            # invalidation).
-            path = self._require_path(roots, snapshot, compact_roots, pool)
-            stale = np.flatnonzero(~pool.trace_valid)
-            if stale.size:
-                with trace("estimator.fold", forests=int(stale.size)):
-                    diag = batched_diag_estimates(pool.batch().parent[stale],
-                                                  path)
-                    pool.set_traces(stale, diag.sum(axis=1))
-                _FOLD_FORESTS.observe(int(stale.size))
-                self.stats.forests_folded += int(stale.size)
-            weights = pool.weights()
-            pooled = float(weights @ pool.traces) / float(weights.sum())
-            value = self.graph.n / pooled
-            _lru_store(self._eval_cache, cache_key,
-                       (self.graph.version, value), self.cache_capacity)
-            self._record_pool_health(roots, pool)
-            return value
+        return self._pooled_read(group, "forest", self._fold_trace)
 
     def evaluate_forest_delta(self, group: Sequence[int]) -> Dict[int, float]:
         """ForestDelta gains ``Δ(u, S)`` for every ``u ∉ S``, from the pool.
@@ -492,73 +436,7 @@ class DynamicCFCM:
         incremental contract :meth:`evaluate_forest` has for traces.  Keys
         are stable node ids.
         """
-        if not self.graph.is_unit_weighted:
-            raise InvalidParameterError(
-                "forest evaluation assumes unit edge weights; use mode='exact'"
-            )
-        roots = self.graph.validate_group(group)
-        with trace("engine.evaluate_forest_delta", roots=_pool_key(roots)) \
-                as span, _op_timer("evaluate_forest_delta"):
-            self._sync_pools()
-            cache_key = ("forest_delta", roots)
-            cached = self._eval_cache.get(cache_key)
-            if cached is not None and cached[0] == self.graph.version:
-                self.stats.eval_hits += 1
-                span.set(cache="hit")
-                _lru_store(self._eval_cache, cache_key, cached,
-                           self.cache_capacity)
-                return dict(cached[1])
-            self.stats.eval_misses += 1
-            span.set(cache="miss")
-
-            snapshot = self.graph.snapshot()
-            compact_roots = self.graph.compact_nodes(roots)
-            pool = self._require_pool(roots, compact_roots)
-            self.stats.forests_kept += pool.size
-            self._top_up(pool, snapshot, compact_roots)
-            path = self._require_path(roots, snapshot, compact_roots, pool)
-
-            rows = (self.config or SamplingConfig()).jl_rows(snapshot.n)
-            jl = self._jl.get(roots)
-            if jl is None or jl.shape != (rows, snapshot.n):
-                jl = rademacher_weights(rows, snapshot.n, compact_roots,
-                                        self.rng)
-                self._jl[roots] = jl
-                pool.invalidate_projected()
-            stale = np.flatnonzero(~pool.projected_valid)
-            if stale.size:
-                with trace("estimator.fold_projected", forests=int(stale.size)):
-                    mask = np.zeros(pool.size, dtype=bool)
-                    mask[stale] = True
-                    sub = pool.batch().select(mask)
-                    projected = batched_projected_estimates(sub, path, jl)
-                    diag = batched_diag_estimates(sub.parent, path)
-                    pool.set_projected(stale, projected, diag)
-                _FOLD_FORESTS.observe(int(stale.size))
-                self.stats.forests_folded += int(stale.size)
-            weights = pool.weights()
-            total = float(weights.sum())
-            mean_projected = np.einsum("b,bwn->wn", weights,
-                                       pool.projected) / total
-            mean_diag = (weights @ pool.projected_diag) / total
-            numerators = np.sum(mean_projected * mean_projected, axis=0)
-
-            mapping = self.graph.snapshot_mapping()
-            degrees = snapshot.degrees
-            compact_set = set(int(r) for r in compact_roots)
-            gains: Dict[int, float] = {}
-            for u in range(snapshot.n):
-                if u in compact_set:
-                    continue
-                # Same denominator floor as the batch estimator:
-                # (inv(L_{-S}))_uu >= 1/d_u by the Neumann series.
-                floor = 1.0 / max(int(degrees[u]), 1)
-                denominator = max(float(mean_diag[u]), floor)
-                gains[int(mapping[u])] = float(numerators[u]) / denominator
-            _lru_store(self._eval_cache, cache_key,
-                       (self.graph.version, gains), self.cache_capacity)
-            self._record_pool_health(roots, pool)
-            return dict(gains)
+        return dict(self._pooled_read(group, "forest_delta", self._fold_gains))
 
     def refill_pool(self, group: Sequence[int], sampler=None) -> int:
         """Top the forest pool of ``group`` up; returns the number drawn.
@@ -567,20 +445,12 @@ class DynamicCFCM:
         can refresh pools ahead of query traffic (prefetching).  ``sampler``
         optionally overrides how the missing forests are drawn: a callable
         ``sampler(snapshot, compact_roots, count, seed)`` returning that many
-        forests — either a :class:`~repro.sampling.batch.ForestBatch` or a
-        list of :class:`repro.sampling.forest.Forest` objects — the asyncio
-        service passes its worker pool's lockstep sampler here.
+        forests as one :class:`~repro.sampling.batch.ForestBatch` — the
+        asyncio service passes its worker pool's lockstep sampler here.
         """
-        if not self.graph.is_unit_weighted:
-            raise InvalidParameterError(
-                "forest pools assume unit edge weights; use mode='exact'"
-            )
-        roots = self.graph.validate_group(group)
+        roots = self._pool_roots(group)
         self._sync_pools()
-        compact_roots = self.graph.compact_nodes(roots)
-        pool = self._require_pool(roots, compact_roots)
-        drawn = self._top_up(pool, self.graph.snapshot(), compact_roots,
-                             sampler=sampler)
+        pool, _, drawn = self._topped_up_pool(roots, sampler)
         self._record_pool_health(roots, pool)
         return drawn
 
@@ -630,75 +500,156 @@ class DynamicCFCM:
         )
 
     # ------------------------------------------------------------ maintenance
-    def _require_pool(self, roots: Tuple[int, ...],
-                      compact_roots: Sequence[int]) -> WeightedForestPool:
-        """The pool for ``roots``, recreated when empty (fresh compact ids)."""
+    def _pool_roots(self, group: Sequence[int]) -> Tuple[int, ...]:
+        """Validated root key of a pooled call (unit weights only)."""
+        if not self.graph.is_unit_weighted:
+            raise InvalidParameterError(
+                "forest pools assume unit edge weights; use mode='exact'"
+            )
+        return self.graph.validate_group(group)
+
+    def _pooled_read(self, group: Sequence[int], kind: str, fold: Callable):
+        """Shared body of the pooled evaluations.
+
+        sync → eval-cache lookup → pool → top-up → path system, then
+        ``fold(pool, snapshot, compact_roots)`` computes the value that is
+        cached under ``(kind, roots)`` until the next mutation.
+        """
+        roots = self._pool_roots(group)
+        with trace(f"engine.evaluate_{kind}", roots=_pool_key(roots)) as span, \
+                _op_timer(f"evaluate_{kind}"):
+            self._sync_pools()
+            cache_key = (kind, roots)
+            cached = self._eval_cache.get(cache_key)
+            if cached is not None and cached[0] == self.graph.version:
+                self.stats.eval_hits += 1
+                span.set(cache="hit")
+                _lru_store(self._eval_cache, cache_key, cached,
+                           self.cache_capacity)
+                return cached[1]
+            self.stats.eval_misses += 1
+            span.set(cache="miss")
+            pool, kept, _ = self._topped_up_pool(roots)
+            self.stats.forests_kept += kept
+            snapshot = self.graph.snapshot()
+            compact_roots = self.graph.compact_nodes(roots)
+            if pool.path is None:
+                pool.attach_path(PathSystem.from_graph(snapshot, compact_roots))
+            value = fold(pool, snapshot, compact_roots)
+            _lru_store(self._eval_cache, cache_key,
+                       (self.graph.version, value), self.cache_capacity)
+            self._record_pool_health(roots, pool)
+            return value
+
+    def _fold_trace(self, pool: WeightedForestPool, snapshot: Graph,
+                    compact_roots: Sequence[int]) -> float:
+        """Group CFCC from the pooled per-forest traces.
+
+        One weight-aware batched fold — and only over the forests whose
+        trace contribution is not already cached against the pool's path
+        system (fresh draws, or everything after a path invalidation).
+        """
+        stale = np.flatnonzero(~pool.trace_valid)
+        if stale.size:
+            with trace("estimator.fold", forests=int(stale.size)):
+                diag = batched_diag_estimates(pool.batch().parent[stale],
+                                              pool.path)
+                pool.set_traces(stale, diag.sum(axis=1))
+            _FOLD_FORESTS.observe(int(stale.size))
+            self.stats.forests_folded += int(stale.size)
+        weights = pool.weights()
+        pooled = float(weights @ pool.traces) / float(weights.sum())
+        return self.graph.n / pooled
+
+    def _fold_gains(self, pool: WeightedForestPool, snapshot: Graph,
+                    compact_roots: Sequence[int]) -> Dict[int, float]:
+        """ForestDelta gains from the pooled projected and diagonal rows."""
+        rows = (self.config or SamplingConfig()).jl_rows(snapshot.n)
+        if pool.jl is None or pool.jl.shape != (rows, snapshot.n):
+            pool.attach_projection(
+                rademacher_weights(rows, snapshot.n, compact_roots, self.rng)
+            )
+        stale = np.flatnonzero(~pool.projected_valid)
+        if stale.size:
+            with trace("estimator.fold_projected", forests=int(stale.size)):
+                mask = np.zeros(pool.size, dtype=bool)
+                mask[stale] = True
+                sub = pool.batch().select(mask)
+                projected = batched_projected_estimates(sub, pool.path, pool.jl)
+                diag = batched_diag_estimates(sub.parent, pool.path)
+                pool.set_projected(stale, projected, diag)
+            _FOLD_FORESTS.observe(int(stale.size))
+            self.stats.forests_folded += int(stale.size)
+        weights = pool.weights()
+        total = float(weights.sum())
+        mean_projected = np.einsum("b,bwn->wn", weights,
+                                   pool.projected) / total
+        mean_diag = (weights @ pool.projected_diag) / total
+        numerators = np.sum(mean_projected * mean_projected, axis=0)
+
+        mapping = self.graph.snapshot_mapping()
+        degrees = snapshot.degrees
+        compact_set = set(int(r) for r in compact_roots)
+        gains: Dict[int, float] = {}
+        for u in range(snapshot.n):
+            if u in compact_set:
+                continue
+            # Same denominator floor as the batch estimator:
+            # (inv(L_{-S}))_uu >= 1/d_u by the Neumann series.
+            floor = 1.0 / max(int(degrees[u]), 1)
+            denominator = max(float(mean_diag[u]), floor)
+            gains[int(mapping[u])] = float(numerators[u]) / denominator
+        return gains
+
+    def _topped_up_pool(self, roots: Tuple[int, ...], sampler=None
+                        ) -> Tuple[WeightedForestPool, int, int]:
+        """The pool for ``roots`` after its top-up, with the number of
+        forests it kept from before and the number it drew.
+
+        An empty pool is rebuilt from the current snapshot, so it restarts
+        with the mapping (and weights) in force right now.  The top-up draws
+        what the pool's refresh plan asks for: both the size deficit
+        (forests killed by deletions) and the ESS floor (stale mass from
+        insertions/reweights); fresh forests are drawn as one lockstep
+        vectorised batch and admitted at weight 1, evicting the
+        lowest-weight forests beyond capacity.
+        """
+        compact_roots = self.graph.compact_nodes(roots)
         pool = self._pools.get(roots)
         if pool is None or pool.size == 0:
-            # An empty pool is rebuilt entirely from the current snapshot, so
-            # it restarts with the mapping (and weights) in force right now;
-            # its old path system (if any) is for a dead id space.
             pool = WeightedForestPool(compact_roots, capacity=self.pool_size,
-                                      ess_floor=self.ess_floor,
-                                      adaptive_floor=self.adaptive_ess_floor)
-            self._paths.pop(roots, None)
-            self._jl.pop(roots, None)
+                                      ess_floor=self.ess_floor)
         _lru_store(self._pools, roots, pool, self.cache_capacity,
                    on_evict=self._on_pool_evicted)
-        return pool
-
-    def _require_path(self, roots: Tuple[int, ...], snapshot: Graph,
-                      compact_roots: Sequence[int],
-                      pool: WeightedForestPool) -> PathSystem:
-        """The pool's path system, rebuilt when the id space moved on.
-
-        A rebuild invalidates every cached per-forest estimator row (traces
-        and projected rows alike): they were computed against paths that no
-        longer exist.
-        """
-        path = self._paths.get(roots)
-        if path is None or path.n != snapshot.n:
-            path = PathSystem.from_graph(snapshot, compact_roots)
-            self._paths[roots] = path
-            pool.invalidate_traces()
-            pool.invalidate_projected()
-        return path
-
-    def _top_up(self, pool: WeightedForestPool, snapshot: Graph,
-                compact_roots: Sequence[int], sampler=None) -> int:
-        """Draw the fresh forests the pool's refresh plan asks for.
-
-        Covers both the size deficit (forests killed by deletions) and the
-        ESS floor (stale mass from insertions/reweights); fresh forests are
-        drawn as one lockstep vectorised batch and admitted at weight 1,
-        evicting the lowest-weight forests beyond capacity.
-        """
+        kept = pool.size
         missing = pool.plan_refresh()
         if missing <= 0:
-            return 0
+            return pool, kept, 0
         if missing > self.pool_size - pool.size:
             self.stats.ess_topups += 1
+        snapshot = self.graph.snapshot()
         with trace("pool.topup", missing=missing):
             if sampler is None:
-                fresh: ForestBatch | list = sample_forest_batch_vectorized(
+                fresh = sample_forest_batch_vectorized(
                     snapshot, compact_roots, missing, seed=self.rng
                 )
-                drawn = fresh.batch_size
             else:
                 child_seed = int(self.rng.integers(0, 2**62))
                 fresh = sampler(snapshot, compact_roots, missing, child_seed)
                 if not isinstance(fresh, ForestBatch):
-                    fresh = list(fresh)  # materialise once: counted, then admitted
-                drawn = (fresh.batch_size if isinstance(fresh, ForestBatch)
-                         else len(fresh))
-            if drawn != missing:
+                    raise InvalidParameterError(
+                        f"sampler must return a ForestBatch, got "
+                        f"{type(fresh).__name__}"
+                    )
+            if fresh.batch_size != missing:
                 raise InvalidParameterError(
-                    f"sampler returned {drawn} forests, expected {missing}"
+                    f"sampler returned {fresh.batch_size} forests, "
+                    f"expected {missing}"
                 )
             pool.admit(fresh)
         _TOPUP_FORESTS.observe(missing)
         self.stats.forests_resampled += missing
-        return missing
+        return pool, kept, missing
 
     def _sync_pools(self) -> None:
         """Replay pending journal events onto every cached consumer.
@@ -726,8 +677,8 @@ class DynamicCFCM:
                 # replay is lost, so conservatively flush every pool and
                 # resume from the current version (trackers recover the same
                 # way).
-                for roots, pool in self._pools.items():
-                    self._flush_pool(roots, pool)
+                for pool in self._pools.values():
+                    self._flush_pool(pool)
                 self._pool_version = self.graph.version
                 events = []
             removals = [event for event in events if event.kind == REMOVE_NODE]
@@ -771,41 +722,30 @@ class DynamicCFCM:
         neighbours = [int(nb) for nb, _ in event.edges]
         attachment = [float(w) for _, w in event.edges]
         if not all(self.graph.has_node(nb) for nb in neighbours):
-            for roots, pool in self._pools.items():
-                self._flush_pool(roots, pool)
+            for pool in self._pools.values():
+                self._flush_pool(pool)
             return
         compact = self.graph.compact_nodes(neighbours)
         stale = node_internal_prior(
             [self.graph.degree(nb) for nb in neighbours]
         )
         new_column = self.graph.compact_index(int(event.node))
-        for roots, pool in self._pools.items():
+        for pool in self._pools.values():
             if pool.size == 0:
-                # Nothing to extend — and any cached path system is now one
-                # node behind the id space, so it must not survive either
-                # (nor the JL projection, drawn for the old node count).
-                self._paths.pop(roots, None)
-                self._jl.pop(roots, None)
                 continue
             if pool.n != new_column:
-                self._flush_pool(roots, pool)  # id-space mismatch: rebuild lazily
+                self._flush_pool(pool)  # id-space mismatch: rebuild lazily
                 continue
             extended = pool.extend_leaf(compact, attachment, stale, self.rng)
             self.stats.forests_reweighted += extended
             self.stats.forests_dropped += pool.take_dead_drops()
-            path = self._paths.get(roots)
-            if path is None:
-                continue
-            # The path system gains the same leaf (fixed first attachment),
-            # leaving every existing path — and every cached trace row —
-            # intact; cached rows only gain the new node's column, priced by
-            # a single-column walk instead of a full refold.
-            path = path.extended(compact[0])
-            self._paths[roots] = path
+            # The pool's path system gained the same leaf, leaving every
+            # cached trace row intact; cached rows only gain the new node's
+            # column, priced by a single-column walk instead of a refold.
             cached = np.flatnonzero(pool.trace_valid)
             if cached.size:
                 column = batched_diag_estimates(
-                    pool.batch().parent[cached], path, columns=[new_column]
+                    pool.batch().parent[cached], pool.path, columns=[new_column]
                 )
                 pool.add_to_traces(cached, column[:, 0])
 
@@ -832,30 +772,25 @@ class DynamicCFCM:
         cu = cv = None
         if self.graph.is_unit_weighted:
             cu, cv = self._compact_endpoints(event.u, event.v)
-        for roots, pool in self._pools.items():
+        for pool in self._pools.values():
             stale = prior
             if cu is not None:
-                stale = self._balance_decay(roots, pool, cu, cv, prior)
+                stale = self._balance_decay(pool, cu, cv, prior)
             self.stats.forests_reweighted += pool.apply_addition(stale)
             self.stats.forests_dropped += pool.take_dead_drops()
-            if pool.size == 0:
-                self._paths.pop(roots, None)
-                self._jl.pop(roots, None)
 
-    def _balance_decay(self, roots: Tuple[int, ...],
-                       pool: WeightedForestPool, cu: int, cv: int,
+    def _balance_decay(self, pool: WeightedForestPool, cu: int, cv: int,
                        prior: float) -> float:
         """Balance-heuristic decay for one pool, or ``prior`` when unpriceable.
 
         One projected-estimator fold with the single probe row
-        ``e_u - e_v`` prices the inserted unit edge's grounded effective
-        resistance from the pooled draws (self-normalised over the
-        importance weights); see :meth:`_decay_pools` for the algebra.
+        ``e_u - e_v`` against the pool's path system prices the inserted
+        unit edge's grounded effective resistance from the pooled draws
+        (self-normalised over the importance weights); see
+        :meth:`_decay_pools` for the algebra.
         """
-        if pool.size == 0:
-            return prior
-        path = self._paths.get(roots)
-        if path is None or pool.n != path.n or max(cu, cv) >= path.n:
+        path = pool.path
+        if path is None or max(cu, cv) >= path.n:
             return prior
         probe = np.zeros((1, path.n))
         probe[0, cu] = 1.0
@@ -878,21 +813,8 @@ class DynamicCFCM:
         cu, cv = self._compact_endpoints(event.u, event.v)
         if cu is None:
             return
-        for roots, pool in self._pools.items():
+        for pool in self._pools.values():
             self.stats.forests_dropped += pool.apply_removal(cu, cv)
-            path = self._paths.get(roots)
-            if path is None:
-                continue
-            if pool.size == 0:
-                self._paths.pop(roots, None)
-                self._jl.pop(roots, None)
-            elif path.uses_edge(cu, cv):
-                # The deleted edge was on the fixed path system: cached
-                # trace and projected contributions are for paths that no
-                # longer exist.
-                del self._paths[roots]
-                pool.invalidate_traces()
-                pool.invalidate_projected()
 
     def _reweight_pools(self, event) -> None:
         """Apply the exact density ratio ``w'/w`` to an edge's using forests."""
@@ -905,23 +827,16 @@ class DynamicCFCM:
             # weight cancels catastrophically for extreme ratios (e.g.
             # 1e-25 -> 1).  An unrecoverable ratio means unknowable
             # importance weights, so fall back to the conservative flush.
-            for roots, pool in self._pools.items():
-                self._flush_pool(roots, pool)
+            for pool in self._pools.values():
+                self._flush_pool(pool)
             return
         ratio = event.weight / old_weight
-        for roots, pool in self._pools.items():
+        for pool in self._pools.values():
             self.stats.forests_reweighted += pool.apply_reweight(cu, cv, ratio)
             self.stats.forests_dropped += pool.take_dead_drops()
-            if pool.size == 0:
-                self._paths.pop(roots, None)
-                self._jl.pop(roots, None)
 
-    def _flush_pool(self, roots: Tuple[int, ...],
-                    pool: WeightedForestPool) -> None:
-        """Flush a pool and retire its path system (kept in lockstep:
-        a path entry must never outlive the forests it was built for)."""
-        self._paths.pop(roots, None)
-        self._jl.pop(roots, None)
+    def _flush_pool(self, pool: WeightedForestPool) -> None:
+        """Flush a pool (its path system and JL projection go with it)."""
         if pool.size:
             pool.flush()
             self.stats.pools_flushed += 1
@@ -935,25 +850,20 @@ class DynamicCFCM:
         for group in [g for g in self._trackers if node in g]:
             del self._trackers[group]
             self.stats.node_evictions += 1
-        # Surviving pools' forests no longer span a valid snapshot id space,
-        # and neither does any path system or JL projection.
-        self._paths.clear()
-        self._jl.clear()
-        for roots, pool in self._pools.items():
-            self._flush_pool(roots, pool)
+        # Surviving pools' forests no longer span a valid snapshot id space.
+        for pool in self._pools.values():
+            self._flush_pool(pool)
 
     def _on_pool_evicted(self, roots: Tuple[int, ...],
                          pool: WeightedForestPool) -> None:
-        """LRU-eviction hook: record the event and drop the pool's state.
+        """LRU-eviction hook: record the event and drop the health entry.
 
-        The pool's health entry and path system go with it, so
-        :attr:`EngineStats.pool_ess` only ever lists live pools and nothing
-        is left behind for a silently vanished pool.
+        :attr:`EngineStats.pool_ess` only ever lists live pools, so nothing
+        is left behind for a silently vanished pool (its path system and
+        JL projection go with the pool object itself).
         """
         self.stats.pools_evicted += 1
         self.stats.pool_ess.pop(_pool_key(roots), None)
-        self._paths.pop(roots, None)
-        self._jl.pop(roots, None)
 
     def _record_pool_health(self, roots: Tuple[int, ...],
                             pool: WeightedForestPool) -> None:

@@ -4,8 +4,8 @@ A checkpoint captures everything the engine needs to *continue bit-equal*
 with a never-crashed twin: the journaled graph (edges in insertion order —
 Laplacian assembly iterates the weight map, so order is numerically
 significant), the engine's RNG state, every forest pool (parent matrices,
-importance weights, trace caches), every cached path system and JL
-projection, the memoised query/evaluation results, and every incremental
+importance weights, trace caches, and the path system and JL projection the
+pool holds), the memoised query/evaluation results, and every incremental
 tracker's factor state.  Restoring and then replaying the same mutation and
 query sequence therefore reproduces the exact floats the uninterrupted
 engine would have produced.
@@ -41,6 +41,18 @@ from repro.exceptions import InvalidParameterError
 
 #: Bump when the archive layout changes; restore refuses unknown versions.
 CHECKPOINT_VERSION = 1
+
+#: Archive key of each named array of :meth:`WeightedForestPool.state`,
+#: formatted with the pool's index.
+_POOL_ARRAYS = {
+    "roots": "pool{}_roots",
+    "parent": "pool{}_parent",
+    "logw": "pool{}_logw",
+    "trace": "pool{}_trace",
+    "trace_valid": "pool{}_trace_valid",
+    "path_parent": "path{}_parent",
+    "jl": "jl{}",
+}
 
 
 # ------------------------------------------------------------------ helpers
@@ -162,7 +174,6 @@ def checkpoint_engine(engine, path: str) -> str:
         "engine": {
             "pool_size": int(engine.pool_size),
             "ess_floor": float(engine.ess_floor),
-            "adaptive_ess_floor": bool(engine.adaptive_ess_floor),
             "refresh_interval": int(engine.refresh_interval),
             "cache_capacity": int(engine.cache_capacity),
             "backend": engine.backend,
@@ -178,32 +189,10 @@ def checkpoint_engine(engine, path: str) -> str:
 
     pools: List[Dict[str, Any]] = []
     for i, (roots, pool) in enumerate(engine._pools.items()):
-        entry: Dict[str, Any] = {
-            "key": [int(r) for r in roots],
-            "capacity": int(pool.capacity),
-            "ess_floor": float(pool.ess_floor),
-            "adaptive_floor": bool(pool.adaptive_floor),
-            "churn_accum": float(pool._churn_accum),
-            "churn_pressure": float(pool._churn_pressure),
-            "dead_drops": int(pool._dead_drops),
-            "size": int(pool.size),
-            "has_path": roots in engine._paths,
-            "has_jl": roots in engine._jl,
-        }
-        arrays[f"pool{i}_roots"] = np.asarray(pool.roots, dtype=np.int64)
-        if pool.size:
-            arrays[f"pool{i}_parent"] = np.asarray(pool._batch.parent,
-                                                   dtype=np.int64)
-            arrays[f"pool{i}_logw"] = pool._log_weights
-            arrays[f"pool{i}_trace"] = pool._trace
-            arrays[f"pool{i}_trace_valid"] = pool._trace_valid
-        if entry["has_path"]:
-            paths = engine._paths[roots]
-            arrays[f"path{i}_parent"] = np.asarray(paths.parent,
-                                                   dtype=np.int64)
-            entry["path_roots"] = [int(r) for r in paths.roots]
-        if entry["has_jl"]:
-            arrays[f"jl{i}"] = engine._jl[roots]
+        entry, named = pool.state()
+        entry["key"] = [int(r) for r in roots]
+        for name, array in named.items():
+            arrays[_POOL_ARRAYS[name].format(i)] = array
         pools.append(entry)
     meta["pools"] = pools
 
@@ -284,7 +273,6 @@ def restore_engine(path: str):
     from repro.dynamic.resistance import IncrementalResistance
     from repro.linalg.backends import DenseResistanceBackend
     from repro.resilience.watchdog import ResidualWatchdog
-    from repro.sampling.batch import ForestBatch
     from repro.sampling.pool import WeightedForestPool
 
     with np.load(path, allow_pickle=False) as data:
@@ -307,7 +295,6 @@ def restore_engine(path: str):
             backend_options=spec["backend_options"],
             watchdog_interval=spec.get("watchdog_interval", 0),
             drift_threshold=spec.get("drift_threshold", 1e-6),
-            adaptive_ess_floor=spec.get("adaptive_ess_floor", False),
         )
         engine.rng = np.random.default_rng(0)
         engine.rng.bit_generator.state = spec["rng_state"]
@@ -316,33 +303,14 @@ def restore_engine(path: str):
         engine.stats.pool_ess = dict(spec["stats"].get("pool_ess", {}))
 
         for i, entry in enumerate(meta["pools"]):
+            named = {name: data[key.format(i)]
+                     for name, key in _POOL_ARRAYS.items()
+                     if key.format(i) in data}
+            path = (PathSystem(named["path_parent"], entry["path_roots"])
+                    if entry["has_path"] else None)
             roots = tuple(int(r) for r in entry["key"])
-            pool = WeightedForestPool(
-                data[f"pool{i}_roots"], capacity=entry["capacity"],
-                ess_floor=entry["ess_floor"],
-                adaptive_floor=bool(entry.get("adaptive_floor", False)),
-            )
-            pool._churn_accum = float(entry.get("churn_accum", 0.0))
-            pool._churn_pressure = float(entry.get("churn_pressure", 0.0))
-            pool._dead_drops = int(entry["dead_drops"])
-            if entry["size"]:
-                parent = np.asarray(data[f"pool{i}_parent"], dtype=np.int64)
-                pool._batch = ForestBatch(parent=parent, roots=pool.roots)
-                pool._log_weights = np.asarray(data[f"pool{i}_logw"],
-                                               dtype=np.float64)
-                pool._trace = np.asarray(data[f"pool{i}_trace"],
-                                         dtype=np.float64)
-                pool._trace_valid = np.asarray(data[f"pool{i}_trace_valid"],
-                                               dtype=bool)
-                pool._projected_valid = np.zeros(pool.size, dtype=bool)
-            engine._pools[roots] = pool
-            if entry["has_path"]:
-                engine._paths[roots] = PathSystem(
-                    data[f"path{i}_parent"], entry["path_roots"]
-                )
-            if entry["has_jl"]:
-                engine._jl[roots] = np.asarray(data[f"jl{i}"],
-                                               dtype=np.float64)
+            engine._pools[roots] = WeightedForestPool.from_state(entry, named,
+                                                                 path)
 
         for entry in meta["eval_cache"]:
             key = (entry["kind"], tuple(int(r) for r in entry["roots"]))

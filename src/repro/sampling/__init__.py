@@ -1,6 +1,6 @@
 """Rooted spanning-forest sampling and adaptive stopping rules."""
 
-from repro.sampling.wilson import sample_rooted_forest, sample_many_forests
+from repro.sampling.wilson import sample_rooted_forest
 from repro.sampling.forest import Forest
 from repro.sampling.batch import (
     ForestBatch,
@@ -13,7 +13,6 @@ from repro.sampling.bernstein import (
     hoeffding_sample_size,
     AdaptiveSampler,
 )
-from repro.sampling.parallel import batched_seeds, sample_forest_batch
 from repro.sampling.pool import (
     WeightedForestPool,
     edge_inclusion_prior,
@@ -25,7 +24,6 @@ __all__ = [
     "edge_inclusion_prior",
     "node_internal_prior",
     "sample_rooted_forest",
-    "sample_many_forests",
     "Forest",
     "ForestBatch",
     "LOCKSTEP_STATE_LIMIT",
@@ -34,6 +32,4 @@ __all__ = [
     "hoeffding_bound",
     "hoeffding_sample_size",
     "AdaptiveSampler",
-    "batched_seeds",
-    "sample_forest_batch",
 ]

@@ -274,23 +274,6 @@ class ForestBatch:
         return grown
 
     @classmethod
-    def from_forests(cls, forests: List[Forest]) -> "ForestBatch":
-        """Stack standalone :class:`Forest` objects into one batch."""
-        if not forests:
-            raise InvalidParameterError(
-                "from_forests needs at least one forest (roots are unknown "
-                "for an empty batch)"
-            )
-        roots = forests[0].roots
-        for forest in forests[1:]:
-            if forest.n != forests[0].n or not np.array_equal(forest.roots, roots):
-                raise InvalidParameterError(
-                    "all forests of a batch must share node count and roots"
-                )
-        return cls(parent=np.vstack([f.parent for f in forests]),
-                   roots=roots.copy())
-
-    @classmethod
     def concatenate(cls, batches: List["ForestBatch"]) -> "ForestBatch":
         """Stack batches over the same graph and root set into one."""
         if not batches:

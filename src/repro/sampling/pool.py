@@ -61,27 +61,32 @@ the tolerance suite against fresh-pool and exact references).
 **Estimator caching.**  A forest's estimator value (e.g. its Lemma 3.3
 trace contribution under a fixed path system) is a deterministic function
 of its parent row, so the pool keeps an optional per-forest ``traces``
-cache row-aligned through every compress/admit.  Weight updates never touch
-it; the consumer (the dynamic engine) fills invalid rows, extends it on
-node joins, and invalidates it when its path system dies — which is what
-lets a pooled evaluation under churn fold only the freshly drawn forests.
-The same contract extends to the JL-*projected* estimator rows (each
-forest's ``(w, n)`` projected tensor plus its diagonal row, the inputs of
-the ``estimate_forest_delta``-style gain evaluation): cached per forest,
-row-aligned through every compress/admit, and invalidated whenever the
-path system or projection changes.
+cache row-aligned through every compress/admit.  The same contract extends
+to the JL-*projected* estimator rows (each forest's ``(w, n)`` projected
+tensor plus its diagonal row, the inputs of the
+``estimate_forest_delta``-style gain evaluation).  The pool also owns what
+those caches are valid against: the consumer attaches the path system
+(:meth:`attach_path`) and the JL projection (:meth:`attach_projection`),
+and the pool's own hooks retire them — both go when the pool empties or
+is flushed, the path (with every cached row) when a deleted edge lies on
+it, and the projection when a leaf extension changes the node count (the
+path gains the same leaf instead).  The consumer (the dynamic engine) only
+fills invalid rows, which is what lets a pooled evaluation under churn
+fold only the freshly drawn forests.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import InvalidParameterError
 from repro.sampling.batch import ForestBatch
-from repro.sampling.forest import Forest
+
+if TYPE_CHECKING:  # estimators import this package: no runtime cycle
+    from repro.centrality.estimators import PathSystem
 
 # Forests whose log-weight falls below this are numerically dead: their
 # contribution to a self-normalised estimate is < 1e-26 of a fresh draw's.
@@ -127,31 +132,19 @@ class WeightedForestPool:
         Fraction of ``capacity``; when the pool's effective sample size
         falls below ``ess_floor * capacity``, :meth:`plan_refresh` schedules
         fresh draws (evicting the lowest-weight forests to make room).
-    adaptive_floor:
-        Tune the live ESS floor from the observed churn rate.  Under
-        sustained churn the floor relaxes towards ``min(0.25, ess_floor)``
-        (benchmarks show 0.25 vs 0.5 halves redraw volume at negligible
-        accuracy cost, because fresh draws arrive continuously anyway);
-        when churn subsides it recovers to the configured ``ess_floor``.
-        The live value is reported by :meth:`health` (and therefore by the
-        ``repro_pool_ess_floor`` gauge) and :meth:`effective_floor`.
 
     Notes
     -----
     The pool stores parents as one ``(B, n)`` matrix and weights as log
     importance weights relative to a fresh draw from the *current* graph
     (see the module docstring for the exact per-event semantics).  All
-    mutation hooks are O(B) NumPy passes.
+    mutation hooks are O(B) NumPy passes.  The attached path system and JL
+    projection (:attr:`path`, :attr:`jl`) live and die with the pool: an
+    empty pool holds neither, and both always span the pool's node count.
     """
 
-    # Churn-pressure EWMA of the adaptive floor: fraction of new observation
-    # folded in per refresh check, and the pressure at which the floor is
-    # fully relaxed (one unit ~= the whole pool decayed once per check).
-    _CHURN_SMOOTHING = 0.3
-    _CHURN_SCALE = 1.0
-
     def __init__(self, roots: Sequence[int], capacity: int,
-                 ess_floor: float = 0.5, adaptive_floor: bool = False):
+                 ess_floor: float = 0.5):
         self.roots = np.asarray(sorted(int(r) for r in roots), dtype=np.int64)
         if self.roots.size == 0:
             raise InvalidParameterError("pool root set must be non-empty")
@@ -165,29 +158,30 @@ class WeightedForestPool:
             )
         self.capacity = capacity
         self.ess_floor = ess_floor
-        self.adaptive_floor = bool(adaptive_floor)
-        # Churn accounting of the adaptive floor: mutation hooks accumulate
-        # the staleness mass they introduced; plan_refresh folds the
-        # accumulator into an EWMA of churn pressure.
-        self._churn_accum = 0.0
-        self._churn_pressure = 0.0
-        self._batch: Optional[ForestBatch] = None
-        self._log_weights = np.zeros(0, dtype=np.float64)
-        # Per-forest cached estimator values (e.g. each forest's Lemma 3.3
-        # trace contribution under the consumer's fixed path system): a
-        # forest's estimate is a deterministic function of its parent row,
-        # so it survives every weight update and only needs recomputing when
-        # the consumer's path system itself is invalidated.  Rows stay
-        # aligned with the stored forests through every compress/admit.
-        self._trace = np.zeros(0, dtype=np.float64)
-        self._trace_valid = np.zeros(0, dtype=bool)
+        self._reset()
+        self._dead_drops = 0
+
+    def _reset(self, batch: Optional[ForestBatch] = None) -> None:
+        """Hold exactly ``batch`` (or nothing) at log-weight 0, caches cold."""
+        size = 0 if batch is None else batch.batch_size
+        self._batch = batch
+        self._log_weights = np.zeros(size, dtype=np.float64)
+        # Per-forest cached estimator values (each forest's Lemma 3.3 trace
+        # contribution under the attached path system): a forest's estimate
+        # is a deterministic function of its parent row, so it survives
+        # every weight update and only needs recomputing when the path
+        # system itself is retired.  Rows stay aligned with the stored
+        # forests through every compress/admit.
+        self._trace = np.zeros(size, dtype=np.float64)
+        self._trace_valid = np.zeros(size, dtype=bool)
         # Mirrored cache for the JL-projected estimator rows: a (B, w, n)
         # tensor of per-forest projected estimators plus a (B, n) diagonal
-        # matrix, lazily allocated on the first fold (the consumer owns w).
+        # matrix, allocated on the first fold against the attached JL.
         self._projected: Optional[np.ndarray] = None
         self._projected_diag: Optional[np.ndarray] = None
-        self._projected_valid = np.zeros(0, dtype=bool)
-        self._dead_drops = 0
+        self._projected_valid = np.zeros(size, dtype=bool)
+        self._path: Optional[PathSystem] = None
+        self._jl: Optional[np.ndarray] = None
 
     # -------------------------------------------------------------- inventory
     @property
@@ -212,10 +206,6 @@ class WeightedForestPool:
     def weights(self) -> np.ndarray:
         """``(B,)`` importance weights (fresh draw == 1)."""
         return np.exp(self._log_weights)
-
-    def log_weights(self) -> np.ndarray:
-        """``(B,)`` log importance weights (copy)."""
-        return self._log_weights.copy()
 
     # ---------------------------------------------------- estimator caching
     @property
@@ -264,23 +254,15 @@ class WeightedForestPool:
     def set_projected(self, rows, projected, diag) -> None:
         """Record computed projected/diagonal rows for the given forests.
 
-        ``projected`` is ``(k, w, n)`` and ``diag`` ``(k, n)`` for ``k``
-        rows.  The backing tensors are allocated lazily from the given
-        shapes (and reallocated — invalidating everything else — if the
-        consumer's projection width or node count changed).
+        ``projected`` is ``(k, w, n)`` for the attached ``(w, n)`` JL
+        projection and ``diag`` ``(k, n)``, for ``k`` rows.  The backing
+        tensors are allocated on the first call after an invalidation.
         """
-        projected = np.asarray(projected, dtype=np.float64)
-        diag = np.asarray(diag, dtype=np.float64)
-        if projected.ndim != 3 or diag.ndim != 2:
-            raise InvalidParameterError(
-                "projected rows must be (k, w, n) and diagonals (k, n)"
-            )
-        shape = (self.size,) + projected.shape[1:]
-        if self._projected is None or self._projected.shape != shape:
-            self._projected = np.zeros(shape, dtype=np.float64)
-            self._projected_diag = np.zeros((self.size, diag.shape[1]),
-                                            dtype=np.float64)
-            self._projected_valid = np.zeros(self.size, dtype=bool)
+        if self._jl is None:
+            raise InvalidParameterError("attach a JL projection first")
+        if self._projected is None:
+            self._projected = np.zeros((self.size,) + self._jl.shape)
+            self._projected_diag = np.zeros((self.size, self.n))
         self._projected[rows] = projected
         self._projected_diag[rows] = diag
         self._projected_valid[rows] = True
@@ -290,6 +272,40 @@ class WeightedForestPool:
         self._projected_valid[:] = False
         self._projected = None
         self._projected_diag = None
+
+    @property
+    def path(self) -> Optional[PathSystem]:
+        """The path system the cached rows are valid against, if any."""
+        return self._path
+
+    @property
+    def jl(self) -> Optional[np.ndarray]:
+        """The ``(w, n)`` JL projection of the cached projected rows, if any."""
+        return self._jl
+
+    def attach_path(self, path: PathSystem) -> None:
+        """Adopt a path system for the stored forests' node count.
+
+        Every cached trace and projected row was computed against the old
+        path (if any), so all of them are invalidated.
+        """
+        if path.n != self.n:
+            raise InvalidParameterError(
+                f"path system spans {path.n} nodes, pool forests {self.n}"
+            )
+        self._path = path
+        self.invalidate_traces()
+        self.invalidate_projected()
+
+    def attach_projection(self, jl: np.ndarray) -> None:
+        """Adopt a ``(w, n)`` JL projection; cached projected rows go."""
+        jl = np.asarray(jl, dtype=np.float64)
+        if jl.ndim != 2 or jl.shape[1] != self.n:
+            raise InvalidParameterError(
+                f"JL projection must be (w, {self.n}), got {jl.shape}"
+            )
+        self._jl = jl
+        self.invalidate_projected()
 
     def ess(self) -> float:
         """Effective sample size: ``min(Kish, fidelity mass)``.
@@ -308,23 +324,6 @@ class WeightedForestPool:
         fidelity = float(np.minimum(weights, 1.0).sum())
         return min(kish, fidelity)
 
-    def effective_floor(self) -> float:
-        """The live ESS floor fraction the refresh policy currently applies.
-
-        Equals ``ess_floor`` unless ``adaptive_floor`` is on, in which case
-        the floor interpolates between ``ess_floor`` (quiet pool) and
-        ``min(0.25, ess_floor)`` (sustained churn) by the churn-pressure
-        EWMA that :meth:`plan_refresh` maintains: each refresh check folds
-        the staleness mass the mutation hooks introduced since the last
-        check into the pressure, so a bursty stream relaxes the floor —
-        halving redraw volume — while an idle pool keeps the strict one.
-        """
-        if not self.adaptive_floor:
-            return self.ess_floor
-        relaxed = min(0.25, self.ess_floor)
-        pressure = min(1.0, self._churn_pressure / self._CHURN_SCALE)
-        return self.ess_floor - (self.ess_floor - relaxed) * pressure
-
     def health(self) -> Dict[str, float]:
         """Operator-facing snapshot: size, capacity, ESS, stale mass."""
         ess = self.ess()
@@ -332,9 +331,8 @@ class WeightedForestPool:
             "size": float(self.size),
             "capacity": float(self.capacity),
             "ess": ess,
-            "ess_floor": self.effective_floor() * self.capacity,
+            "ess_floor": self.ess_floor * self.capacity,
             "stale_fraction": 1.0 - ess / self.capacity,
-            "churn_pressure": float(self._churn_pressure),
         }
 
     # -------------------------------------------------------- mutation hooks
@@ -342,16 +340,20 @@ class WeightedForestPool:
         """Drop every forest whose parent pointers use edge ``(u, v)``.
 
         Survivors are exact samples of the shrunk graph's distribution (see
-        module docstring), so their weights are untouched.  Returns the
-        number of forests dropped.
+        module docstring), so their weights are untouched.  An edge on the
+        attached path system retires the path and every cached row computed
+        against it.  Returns the number of forests dropped.
         """
         if self.size == 0:
             return 0
         dead = self._batch.uses_edge(u, v)
         dropped = int(np.count_nonzero(dead))
         if dropped:
-            self._churn_accum += dropped / max(self.size, 1)
             self._compress(~dead)
+        if self._path is not None and self._path.uses_edge(u, v):
+            self._path = None
+            self.invalidate_traces()
+            self.invalidate_projected()
         return dropped
 
     def apply_addition(self, stale_probability: float) -> int:
@@ -367,7 +369,6 @@ class WeightedForestPool:
             return 0
         reweighted = self.size
         stale_probability = min(max(float(stale_probability), 0.0), 1.0 - 1e-12)
-        self._churn_accum += stale_probability
         self._log_weights += math.log1p(-stale_probability)
         self._drop_dead()
         return reweighted
@@ -387,9 +388,6 @@ class WeightedForestPool:
         users = self._batch.uses_edge(u, v)
         touched = int(np.count_nonzero(users))
         if touched:
-            self._churn_accum += (
-                min(1.0, abs(math.log(ratio))) * touched / max(self.size, 1)
-            )
             self._log_weights[users] += math.log(ratio)
             self._drop_dead()
         return touched
@@ -408,9 +406,12 @@ class WeightedForestPool:
         (:func:`node_internal_prior`).  Returns the number of forests
         extended; insertions therefore never force a flush.
 
-        Cached ``traces`` are left untouched: the caller must immediately
-        add the new node's column contribution to the valid rows (a
-        single-column walk) or call :meth:`invalidate_traces`.
+        The attached path system gains the same leaf (its path is the edge
+        to the first neighbour), so every existing path — and every cached
+        trace row — stays intact: the caller must immediately add the new
+        node's column contribution to the valid rows (a single-column walk)
+        or call :meth:`invalidate_traces`.  The JL projection spans the old
+        node count and is retired, with the projected rows.
         """
         if self.size == 0:
             return 0
@@ -426,8 +427,9 @@ class WeightedForestPool:
         picks = rng.choice(neighbours.size, size=self.size, p=probabilities)
         extended = self.size
         self._batch = self._batch.with_leaf(neighbours[picks])
-        # The node count changed, so any cached projected rows span the old
-        # id space (and the consumer's projection must be redrawn anyway).
+        if self._path is not None:
+            self._path = self._path.extended(int(neighbours[0]))
+        self._jl = None
         self.invalidate_projected()
         self.apply_addition(stale_probability)
         return extended
@@ -444,15 +446,11 @@ class WeightedForestPool:
         return dropped
 
     def flush(self) -> int:
-        """Discard every stored forest; returns how many were dropped."""
+        """Discard every stored forest, with the path system and JL
+        projection they were cached against; returns how many were
+        dropped."""
         dropped = self.size
-        self._batch = None
-        self._log_weights = np.zeros(0, dtype=np.float64)
-        self._trace = np.zeros(0, dtype=np.float64)
-        self._trace_valid = np.zeros(0, dtype=bool)
-        self._projected = None
-        self._projected_diag = None
-        self._projected_valid = np.zeros(0, dtype=bool)
+        self._reset()
         return dropped
 
     # --------------------------------------------------------------- refresh
@@ -460,39 +458,27 @@ class WeightedForestPool:
         """How many fresh forests a top-up should draw *now*.
 
         Covers both the size deficit (dead forests) and the ESS floor: when
-        ``ess < effective_floor() * capacity`` the plan replaces the stale
-        mass — enough fresh draws to lift the pool back to roughly full
-        effective size.  Call :meth:`admit` with the drawn forests; the
-        admit evicts the lowest-weight forests to respect ``capacity``.
-
-        With ``adaptive_floor`` on, each call first folds the churn mass
-        accumulated since the last check into the pressure EWMA that
-        :meth:`effective_floor` interpolates on.
+        ``ess < ess_floor * capacity`` the plan replaces the stale mass —
+        enough fresh draws to lift the pool back to roughly full effective
+        size.  Call :meth:`admit` with the drawn forests; the admit evicts
+        the lowest-weight forests to respect ``capacity``.
         """
-        self._churn_pressure += self._CHURN_SMOOTHING * (
-            self._churn_accum - self._churn_pressure
-        )
-        self._churn_accum = 0.0
         deficit = self.capacity - self.size
         ess = self.ess()
-        if self.size and ess < self.effective_floor() * self.capacity:
+        if self.size and ess < self.ess_floor * self.capacity:
             return max(deficit, self.capacity - int(math.floor(ess)))
         return max(deficit, 0)
 
-    def admit(self, forests: Union[ForestBatch, List[Forest]]) -> int:
+    def admit(self, fresh: ForestBatch) -> int:
         """Add freshly drawn forests (log-weight 0), evicting down to capacity.
 
-        ``forests`` is a :class:`ForestBatch` or a list of
-        :class:`~repro.sampling.forest.Forest` (the scalar sampler's
-        output).  Eviction removes the lowest-weight forests first, so stale
-        mass makes way for fresh draws.  Returns the number admitted.
+        Eviction removes the lowest-weight forests first, so stale mass makes
+        way for fresh draws.  Returns the number admitted.
         """
-        if isinstance(forests, ForestBatch):
-            fresh = forests
-        else:
-            if not forests:
-                return 0
-            fresh = ForestBatch.from_forests(list(forests))
+        if not isinstance(fresh, ForestBatch):
+            raise InvalidParameterError(
+                f"admit takes a ForestBatch, got {type(fresh).__name__}"
+            )
         if fresh.batch_size == 0:
             return 0
         if not np.array_equal(fresh.roots, self.roots):
@@ -500,41 +486,22 @@ class WeightedForestPool:
                 f"admitted forests rooted at {fresh.roots.tolist()} do not "
                 f"match the pool roots {self.roots.tolist()}"
             )
-        if self._batch is not None and self.size and fresh.n != self._batch.n:
+        if self.size and fresh.n != self.n:
             raise InvalidParameterError(
-                f"admitted forests have {fresh.n} nodes, pool has {self._batch.n}"
+                f"admitted forests have {fresh.n} nodes, pool has {self.n}"
             )
-        if self._batch is None or self.size == 0:
-            self._batch = fresh
-            self._log_weights = np.zeros(fresh.batch_size, dtype=np.float64)
-            self._trace = np.zeros(fresh.batch_size, dtype=np.float64)
-            self._trace_valid = np.zeros(fresh.batch_size, dtype=bool)
-            self._projected = None
-            self._projected_diag = None
-            self._projected_valid = np.zeros(fresh.batch_size, dtype=bool)
+        if self.size == 0:
+            self._reset(fresh)
         else:
+            count = fresh.batch_size
             self._batch = ForestBatch.concatenate([self._batch, fresh])
-            self._log_weights = np.concatenate(
-                [self._log_weights, np.zeros(fresh.batch_size)]
-            )
-            self._trace = np.concatenate(
-                [self._trace, np.zeros(fresh.batch_size)]
-            )
-            self._trace_valid = np.concatenate(
-                [self._trace_valid, np.zeros(fresh.batch_size, dtype=bool)]
-            )
-            self._projected_valid = np.concatenate(
-                [self._projected_valid, np.zeros(fresh.batch_size, dtype=bool)]
-            )
+            self._log_weights = _pad_rows(self._log_weights, count)
+            self._trace = _pad_rows(self._trace, count)
+            self._trace_valid = _pad_rows(self._trace_valid, count)
+            self._projected_valid = _pad_rows(self._projected_valid, count)
             if self._projected is not None:
-                pad = np.zeros((fresh.batch_size,) + self._projected.shape[1:])
-                self._projected = np.concatenate([self._projected, pad])
-                diag_pad = np.zeros(
-                    (fresh.batch_size, self._projected_diag.shape[1])
-                )
-                self._projected_diag = np.concatenate(
-                    [self._projected_diag, diag_pad]
-                )
+                self._projected = _pad_rows(self._projected, count)
+                self._projected_diag = _pad_rows(self._projected_diag, count)
         overflow = self.size - self.capacity
         if overflow > 0:
             # Keep the `capacity` highest-weight forests (stable towards the
@@ -545,6 +512,55 @@ class WeightedForestPool:
             keep[order[:overflow]] = False
             self._compress(keep)
         return fresh.batch_size
+
+    # ----------------------------------------------------------- durability
+    def state(self) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
+        """JSON-able scalars and named arrays that rebuild this pool exactly.
+
+        The projected rows are left out: they are deterministic functions of
+        the saved forests, path and projection, refolded on first use
+        without consuming randomness.
+        """
+        meta: Dict[str, Any] = {
+            "capacity": int(self.capacity),
+            "ess_floor": float(self.ess_floor),
+            "dead_drops": int(self._dead_drops),
+            "size": int(self.size),
+            "has_path": self._path is not None,
+            "has_jl": self._jl is not None,
+        }
+        arrays = {"roots": self.roots}
+        if self.size:
+            arrays.update(parent=np.asarray(self._batch.parent, dtype=np.int64),
+                          logw=self._log_weights, trace=self._trace,
+                          trace_valid=self._trace_valid)
+        if self._path is not None:
+            arrays["path_parent"] = np.asarray(self._path.parent, dtype=np.int64)
+            meta["path_roots"] = [int(r) for r in self._path.roots]
+        if self._jl is not None:
+            arrays["jl"] = self._jl
+        return meta, arrays
+
+    @classmethod
+    def from_state(cls, meta: Dict[str, Any], arrays: Dict[str, np.ndarray],
+                   path: Optional[PathSystem] = None) -> "WeightedForestPool":
+        """Inverse of :meth:`state`; ``path`` is the rebuilt path system
+        (``PathSystem(arrays["path_parent"], meta["path_roots"])``)."""
+        pool = cls(arrays["roots"], capacity=meta["capacity"],
+                   ess_floor=meta["ess_floor"])
+        pool._dead_drops = int(meta["dead_drops"])
+        if meta["size"]:
+            pool._reset(ForestBatch(
+                parent=np.asarray(arrays["parent"], dtype=np.int64),
+                roots=pool.roots,
+            ))
+            pool._log_weights = np.asarray(arrays["logw"], dtype=np.float64)
+            pool._trace = np.asarray(arrays["trace"], dtype=np.float64)
+            pool._trace_valid = np.asarray(arrays["trace_valid"], dtype=bool)
+        pool._path = path
+        if meta["has_jl"]:
+            pool._jl = np.asarray(arrays["jl"], dtype=np.float64)
+        return pool
 
     # ------------------------------------------------------------- internals
     def _compress(self, keep: np.ndarray) -> None:
@@ -569,3 +585,8 @@ class WeightedForestPool:
         self._compress(alive)
         self._dead_drops += before - self.size
         return self.size
+
+
+def _pad_rows(rows: np.ndarray, count: int) -> np.ndarray:
+    """``rows`` followed by ``count`` zero rows of the same shape and dtype."""
+    return np.concatenate([rows, np.zeros((count,) + rows.shape[1:], rows.dtype)])

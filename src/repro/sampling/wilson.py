@@ -14,7 +14,7 @@ sizes used in this reproduction.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -126,15 +126,6 @@ def sample_rooted_forest(graph: Graph, roots: Sequence[int],
     parent_array = np.asarray(parent, dtype=np.int64)
     parent_array[list(roots)] = -1
     return Forest(parent=parent_array, roots=np.asarray(list(roots), dtype=np.int64))
-
-
-def sample_many_forests(graph: Graph, roots: Sequence[int], count: int,
-                        seed: RandomState = None) -> List[Forest]:
-    """Sample ``count`` independent rooted forests (convenience for tests)."""
-    if count < 0:
-        raise InvalidParameterError(f"count must be non-negative, got {count}")
-    rng = as_rng(seed)
-    return [sample_rooted_forest(graph, roots, seed=rng) for _ in range(count)]
 
 
 def expected_sampling_cost(graph: Graph, roots: Sequence[int]) -> float:

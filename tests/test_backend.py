@@ -367,9 +367,12 @@ class TestEngineWiring:
                                    rtol=1e-6)
 
     def test_engine_rejects_backend_instances(self, small_ba):
-        with pytest.raises(InvalidParameterError, match="spec string"):
+        with pytest.raises(InvalidParameterError, match="spec string") as info:
             DynamicCFCM(DynamicGraph(small_ba),
                         backend=SparseResistanceBackend())
+        # The message lists every spec the engine accepts.
+        for spec in ("'dense'", "'sparse'", "'auto'", "'sharded'"):
+            assert spec in str(info.value)
 
     def test_engine_rejects_unknown_backend(self, small_ba):
         with pytest.raises(InvalidParameterError):

@@ -18,7 +18,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 import repro.sampling.batch as batch_module
-from repro.centrality.estimators import ForestAccumulator, rademacher_weights
+from repro.centrality.estimators import ForestAccumulator, PathSystem, rademacher_weights
 from repro.exceptions import DisconnectedGraphError, GraphError, InvalidParameterError
 from repro.graph import generators
 from repro.graph.graph import Graph
@@ -26,7 +26,6 @@ from repro.linalg.schur import absorption_probabilities
 from repro.sampling import (
     Forest,
     ForestBatch,
-    sample_forest_batch,
     sample_forest_batch_vectorized,
     sample_rooted_forest,
 )
@@ -297,13 +296,21 @@ class TestDistributionalEquivalence:
         assert np.allclose(empirical.sum(axis=1), 1.0)
 
 
+def _draw(method, graph, roots, count, seed):
+    """``count`` forests from the scalar Wilson loop or the lockstep kernel."""
+    if method == "scalar":
+        rng = np.random.default_rng(seed)
+        return [sample_rooted_forest(graph, roots, seed=rng) for _ in range(count)]
+    return sample_forest_batch_vectorized(graph, roots, count, seed=seed).forests()
+
+
 class TestRootedComponentCheck:
     """Connected graphs with Θ(n²) expected walks must never be rejected."""
 
     @pytest.mark.parametrize("method", ["scalar", "lockstep"])
     def test_long_path_is_sampled(self, method):
         graph = generators.path_graph(1000)
-        forests = sample_forest_batch(graph, [0], 2, seed=0, method=method)
+        forests = _draw(method, graph, [0], 2, seed=0)
         assert len(forests) == 2
         for forest in forests:
             forest.validate_against(graph)
@@ -311,7 +318,7 @@ class TestRootedComponentCheck:
     @pytest.mark.parametrize("method", ["scalar", "lockstep"])
     def test_long_ring_is_sampled(self, method):
         graph = generators.cycle_graph(600)
-        forests = sample_forest_batch(graph, [0], 2, seed=1, method=method)
+        forests = _draw(method, graph, [0], 2, seed=1)
         for forest in forests:
             forest.validate_against(graph)
 
@@ -319,7 +326,14 @@ class TestRootedComponentCheck:
     def test_component_without_root_still_raises(self, method):
         graph = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
         with pytest.raises(DisconnectedGraphError):
-            sample_forest_batch(graph, [0], 2, seed=0, method=method)
+            _draw(method, graph, [0], 2, seed=0)
+
+    def test_path_system_and_accumulator_raise_the_sampler_error(self):
+        graph = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+        with pytest.raises(DisconnectedGraphError):
+            PathSystem.from_graph(graph, [0])
+        with pytest.raises(DisconnectedGraphError):
+            ForestAccumulator(graph, [0])
 
     def test_every_component_rooted_is_accepted(self):
         graph = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
@@ -331,5 +345,5 @@ class TestRootedComponentCheck:
         graph = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
         labels = graph.component_labels()
         assert labels.tolist() == [0, 0, 0, 1, 1, 1]
-        sample_forest_batch(graph, [0, 5], 3, seed=0, method="scalar")
+        _draw("scalar", graph, [0, 5], 3, seed=0)
         assert graph.component_labels() is labels

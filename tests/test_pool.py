@@ -20,7 +20,7 @@ import pytest
 
 from repro.centrality.estimators import ForestAccumulator, rademacher_weights
 from repro.dynamic import DynamicCFCM, DynamicGraph
-from repro.exceptions import InvalidParameterError
+from repro.exceptions import GraphError, InvalidParameterError
 from repro.graph import generators
 from repro.graph.graph import Graph
 from repro.sampling import WeightedForestPool
@@ -77,17 +77,18 @@ class TestForestBatchHelpers:
         with pytest.raises(InvalidParameterError):
             batch.with_leaf(np.full(6, karate.n, dtype=np.int64))
 
-    def test_from_forests_and_concatenate(self, karate):
+    def test_concatenate(self, karate):
         batch = sample_forest_batch_vectorized(karate, [0], 4, seed=4)
-        rebuilt = ForestBatch.from_forests(batch.forests())
-        assert np.array_equal(rebuilt.parent, batch.parent)
-        double = ForestBatch.concatenate([batch, rebuilt])
-        assert double.batch_size == 8
+        other = sample_forest_batch_vectorized(karate, [0], 2, seed=5)
+        double = ForestBatch.concatenate([batch, other])
+        assert double.batch_size == 6
+        assert np.array_equal(double.parent[:4], batch.parent)
+        assert np.array_equal(double.parent[4:], other.parent)
         other_roots = sample_forest_batch_vectorized(karate, [1], 2, seed=4)
         with pytest.raises(InvalidParameterError):
             ForestBatch.concatenate([batch, other_roots])
         with pytest.raises(InvalidParameterError):
-            ForestBatch.from_forests([])
+            ForestBatch.concatenate([])
 
 
 # ---------------------------------------------------------------------------
@@ -115,9 +116,11 @@ class TestWeightedForestPool:
         small = generators.barabasi_albert(10, 2, seed=0)
         with pytest.raises(InvalidParameterError):
             pool.admit(sample_forest_batch_vectorized(small, [0], 2, seed=0))
-        # Forest lists (the process-pool sampler contract) are accepted too.
+        # Only ForestBatch input is admitted: a list of forests is refused.
         extra = sample_forest_batch_vectorized(karate, [0], 2, seed=9)
-        assert pool.admit(extra.forests()) == 2
+        with pytest.raises(InvalidParameterError):
+            pool.admit(extra.forests())
+        assert pool.admit(extra) == 2
         assert pool.size == 4  # eviction respected capacity
 
     def test_removal_drops_exactly_users(self, karate):
@@ -458,7 +461,7 @@ class TestTraceCache:
         # Recompute everything from scratch against the same path system.
         from repro.centrality.estimators import batched_diag_estimates
 
-        path = engine._paths[(0,)]
+        path = pool.path
         diag = batched_diag_estimates(pool.batch().parent, path)
         weights = pool.weights()
         trace = float(weights @ diag.sum(axis=1)) / float(weights.sum())
@@ -489,7 +492,7 @@ class TestTraceCache:
         engine = DynamicCFCM(graph, seed=6, pool_size=1)
         engine.evaluate_forest([0])
         pool = engine._pools[(0,)]
-        path = engine._paths[(0,)]
+        path = pool.path
         # Empty the pool with a removal the path system does not use.
         edge = next(
             (u, v) for u, v in zip(karate.edge_u, karate.edge_v)
@@ -501,40 +504,98 @@ class TestTraceCache:
         graph.remove_edge(event.node, 3)    # touches the new node's id
         value = engine.evaluate_forest([0])  # must not raise
         assert value > 0.0
-        assert (0,) in engine._paths
-        assert engine._paths[(0,)].n == graph.n
+        assert engine._pools[(0,)].path.n == graph.n
 
     def test_path_edge_removal_invalidates_traces(self, karate):
         graph = DynamicGraph(karate)
         engine = DynamicCFCM(graph, seed=5, pool_size=8)
         engine.evaluate_forest([0])
-        path = engine._paths[(0,)]
+        pool = engine._pools[(0,)]
+        path = pool.path
         # Remove an edge the path system uses: every cached trace must go.
         edge = next((u, v) for u, v in zip(karate.edge_u, karate.edge_v)
                     if path.uses_edge(u, v) and graph.has_edge(u, v))
         graph.remove_edge(*edge)
         engine.sync()
-        assert (0,) not in engine._paths
-        pool = engine._pools[(0,)]
+        assert pool.path is None
         assert not np.any(pool.trace_valid)
         value = engine.evaluate_forest([0])
         exact = engine.evaluate_exact([0])
         assert value == pytest.approx(exact, rel=0.5)
 
 
-class TestSamplerContract:
-    def test_refill_accepts_generator_samplers(self, karate):
-        from repro.sampling import sample_forest_batch
+class TestPoolOwnsPathAndProjection:
+    """Each pool retires its own path system and JL projection."""
 
+    @staticmethod
+    def _assert_spans(engine):
+        for pool in engine._pools.values():
+            if pool.size == 0:
+                assert pool.path is None and pool.jl is None
+                continue
+            if pool.path is not None:
+                assert pool.path.n == pool.n
+            if pool.jl is not None:
+                assert pool.jl.shape[1] == pool.n
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_randomized_journal_keeps_pool_state_spanning(self, seed):
+        graph = DynamicGraph(generators.barabasi_albert(40, 2, seed=seed))
+        engine = DynamicCFCM(graph, seed=seed, pool_size=6, cache_capacity=3)
+        groups = [(0,), (0, 1), (2, 5), (3,)]
+        rng = np.random.default_rng(50 + seed)
+        for _ in range(60):
+            nodes = [int(v) for v in graph.node_ids()]
+            move = rng.random()
+            try:
+                if move < 0.15:
+                    attach = rng.choice(nodes, size=2, replace=False)
+                    graph.add_node([int(attach[0]), int(attach[1])])
+                elif move < 0.22:
+                    graph.remove_node(int(rng.choice([v for v in nodes if v > 6])))
+                elif move < 0.5:
+                    u, v = (int(x) for x in rng.choice(nodes, size=2, replace=False))
+                    if not graph.has_edge(u, v):
+                        graph.add_edge(u, v)
+                elif move < 0.8:
+                    edges = list(graph.edges())
+                    graph.remove_edge(*edges[int(rng.integers(len(edges)))])
+                else:
+                    edges = list(graph.edges())
+                    u, v = edges[int(rng.integers(len(edges)))]
+                    graph.update_weight(u, v, 3.0)
+                    engine.sync()
+                    self._assert_spans(engine)
+                    graph.update_weight(u, v, 1.0)
+            except GraphError:
+                pass  # a bridge deletion: rejected, nothing journaled
+            engine.sync()
+            self._assert_spans(engine)
+            group = groups[int(rng.integers(len(groups)))]
+            if rng.random() < 0.5:
+                engine.evaluate_forest(group)
+            else:
+                engine.evaluate_forest_delta(group)
+            self._assert_spans(engine)
+        assert engine.stats.pools_flushed > 0
+
+
+class TestSamplerContract:
+    def test_refill_rejects_wrong_type_and_count(self, karate):
         engine = DynamicCFCM(DynamicGraph(karate), seed=0, pool_size=4)
 
-        def sampler(snapshot, roots, count, seed):
-            # A lazy iterator is a valid return under the documented
-            # contract; it must only be consumed once.
-            return iter(sample_forest_batch(snapshot, roots, count, seed=seed))
+        def listing(snapshot, roots, count, seed):
+            return sample_forest_batch_vectorized(snapshot, roots, count,
+                                                  seed=seed).forests()
 
-        assert engine.refill_pool([0], sampler=sampler) == 4
-        assert engine._pools[(0,)].size == 4
+        def short(snapshot, roots, count, seed):
+            return sample_forest_batch_vectorized(snapshot, roots, count - 1,
+                                                  seed=seed)
+
+        for sampler in (listing, short):
+            with pytest.raises(InvalidParameterError):
+                engine.refill_pool([0], sampler=sampler)
+            assert engine._pools[(0,)].size == 0
 
     def test_refill_accepts_forest_batch_samplers(self, karate):
         engine = DynamicCFCM(DynamicGraph(karate), seed=0, pool_size=4)
@@ -576,35 +637,8 @@ class TestLRUPoolEviction:
         assert set(engine.stats.pool_ess) == {"1"}
 
 
-class TestAdaptiveFloor:
-    """Balance-heuristic insertion decay and churn-adaptive ESS floors."""
-
-    def test_adaptive_floor_relaxes_under_churn(self):
-        pool = WeightedForestPool([0], capacity=16, ess_floor=0.5,
-                                  adaptive_floor=True)
-        assert pool.effective_floor() == 0.5
-        # Sustained staleness mass folds into churn pressure and relaxes
-        # the floor toward the 0.25 bench optimum; a static pool keeps it.
-        pool._churn_accum = 4.0
-        pool.plan_refresh()
-        assert pool.effective_floor() < 0.5
-        assert pool.effective_floor() >= 0.25
-        static = WeightedForestPool([0], capacity=16, ess_floor=0.5)
-        static._churn_accum = 4.0
-        static.plan_refresh()
-        assert static.effective_floor() == 0.5
-
-    def test_floor_gauge_exposed_through_health(self):
-        graph = DynamicGraph(generators.grid_graph(6, 8))
-        engine = DynamicCFCM(graph, seed=3, pool_size=8, adaptive_ess_floor=True)
-        engine.evaluate_forest([0])
-        health = engine.pool_health()
-        assert list(health) == ["0"]
-        assert health["0"]["ess_floor"] == pytest.approx(0.5 * 8)
-        for u in range(0, 40, 4):
-            graph.add_edge(u, u + 7)
-        engine.evaluate_forest([0])
-        assert 0.25 * 8 <= engine.pool_health()["0"]["ess_floor"] <= 0.5 * 8
+class TestBalanceDecay:
+    """Balance-heuristic insertion decay priced from the pool's own path."""
 
     def test_balance_decay_prices_insertion_resistance(self):
         graph = DynamicGraph(generators.grid_graph(6, 8))
@@ -615,8 +649,7 @@ class TestAdaptiveFloor:
         u, v = 10, 19
         cu, cv = engine._compact_endpoints(u, v)
         prior = edge_inclusion_prior(graph.degree(u), graph.degree(v))
-        stale = engine._balance_decay(graph.validate_group(group), pool,
-                                      cu, cv, prior)
+        stale = engine._balance_decay(pool, cu, cv, prior)
         # The decay is the importance ratio R/(1+R) of the inserted unit
         # edge; compare against the exact grounded resistance.
         tracker = engine.tracker(group)

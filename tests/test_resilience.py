@@ -377,6 +377,46 @@ class TestCheckpointRecovery:
         assert (restored.rng.bit_generator.state
                 == engine.rng.bit_generator.state)
 
+    def test_checkpoint_after_jl_projection_is_bit_equal(self, tmp_path):
+        """A pool's cached JL projection and path system survive the round
+        trip: after one churn burst, both pooled reads match the live
+        engine bit for bit."""
+        base = generators.barabasi_albert(40, 2, seed=14)
+        graph = DynamicGraph(base)
+        engine = DynamicCFCM(graph, seed=6, pool_size=12)
+        engine.evaluate_forest_delta(GROUP)
+        engine.evaluate_forest(GROUP)
+        pool = engine._pools[GROUP]
+        assert pool.jl is not None and pool.path is not None
+
+        path = str(tmp_path / "engine.npz")
+        engine.checkpoint(path)
+        restored = DynamicCFCM.restore(path)
+        restored_pool = restored._pools[GROUP]
+        assert np.array_equal(restored_pool.jl, pool.jl)
+        assert np.array_equal(restored_pool.path.parent, pool.path.parent)
+
+        # Deletions off the path system, so the cached rows of the
+        # surviving forests stay valid.
+        off_path = [(u, v) for u, v in sorted(graph.edges())
+                    if not pool.path.uses_edge(u, v)][:2]
+
+        def burst(target):
+            for _ in range(3):
+                target.add_edge(*missing_edge(target))
+            for u, v in off_path:
+                target.remove_edge(u, v)
+
+        burst(graph)
+        burst(restored.graph)
+        # Edge churn keeps the projection: the live engine refolds only its
+        # fresh draws, the restored one every forest, under the same JL.
+        assert restored.evaluate_forest(GROUP) == engine.evaluate_forest(GROUP)
+        assert (restored.evaluate_forest_delta(GROUP)
+                == engine.evaluate_forest_delta(GROUP))
+        assert (restored.rng.bit_generator.state
+                == engine.rng.bit_generator.state)
+
     def test_checkpoint_restore_sparse_backend(self, tmp_path):
         graph = DynamicGraph(generators.barabasi_albert(26, 2, seed=12))
         engine = DynamicCFCM(graph, seed=5, pool_size=8, backend="sparse")

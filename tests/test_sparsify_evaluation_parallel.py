@@ -1,6 +1,5 @@
-"""Tests for the evaluation metrics and the batch-sampling front end."""
+"""Tests for the evaluation metrics and batch forest sampling."""
 
-import numpy as np
 import pytest
 
 from repro.exceptions import InvalidParameterError
@@ -17,7 +16,7 @@ from repro.centrality.estimators import SamplingConfig, estimate_forest_delta
 from repro.centrality.exact_greedy import ExactGreedy
 from repro.centrality.heuristics import degree_group
 from repro.centrality.marginal import marginal_gains_all
-from repro.sampling.parallel import batched_seeds, sample_forest_batch
+from repro.sampling.batch import sample_forest_batch_vectorized
 
 
 class TestEvaluationMetrics:
@@ -86,33 +85,16 @@ class TestEvaluationMetrics:
 
 
 class TestParallelSampling:
-    def test_batched_seeds_reproducible(self):
-        assert batched_seeds(7, 5) == batched_seeds(7, 5)
-        assert len(set(batched_seeds(7, 50))) == 50
-        with pytest.raises(InvalidParameterError):
-            batched_seeds(7, -1)
-
     def test_sequential_batch_valid(self, karate):
-        forests = sample_forest_batch(karate, [0, 33], 6, seed=0)
-        assert len(forests) == 6
-        for forest in forests:
+        batch = sample_forest_batch_vectorized(karate, [0, 33], 6, seed=0)
+        assert batch.batch_size == 6
+        for forest in batch.forests():
             forest.validate_against(karate)
 
-    def test_auto_dispatch_matches_lockstep(self, karate):
-        """The default path is the vectorised lockstep kernel."""
-        auto = sample_forest_batch(karate, [0, 33], 4, seed=9)
-        lockstep = sample_forest_batch(karate, [0, 33], 4, seed=9,
-                                       method="lockstep")
-        for a, b in zip(auto, lockstep):
-            assert np.array_equal(a.parent, b.parent)
-
-    def test_unknown_method_rejected(self, karate):
-        with pytest.raises(InvalidParameterError):
-            sample_forest_batch(karate, [0], 2, seed=0, method="quantum")
-
     def test_empty_batch(self, karate):
-        assert sample_forest_batch(karate, [0], 0, seed=0) == []
+        batch = sample_forest_batch_vectorized(karate, [0], 0, seed=0)
+        assert batch.batch_size == 0 and batch.n == karate.n
 
     def test_negative_count_rejected(self, karate):
         with pytest.raises(InvalidParameterError):
-            sample_forest_batch(karate, [0], -2, seed=0)
+            sample_forest_batch_vectorized(karate, [0], -2, seed=0)
