@@ -2,8 +2,9 @@
 
 These micro-benchmarks expose where the time goes:
 
-* Wilson forest sampling with a single root versus an enlarged root set —
-  the mechanism behind SchurCFCM's speed advantage (Lemma 3.7);
+* single-forest sampling (the library's lockstep sampler with ``count=1``)
+  with a single root versus an enlarged root set — the mechanism behind
+  SchurCFCM's speed advantage (Lemma 3.7);
 * the per-sample estimator processing (subtree sums + BFS prefix sums);
 * the Laplacian solver substrate used by the ApproxGreedy baseline;
 * exact Schur-complement assembly versus its sampled counterpart.
@@ -19,22 +20,27 @@ from repro.linalg.laplacian import grounded_laplacian
 from repro.linalg.schur import grounded_inverse_block
 from repro.linalg.solvers import LaplacianSolver, SolverMethod
 from repro.linalg.updates import GroundedInverseTracker
-from repro.sampling.wilson import sample_rooted_forest
+from repro.sampling import sample_forest_batch_vectorized
+
+
+def _draw_one(graph, roots):
+    """One forest, drawn the way the library draws a single forest."""
+    return sample_forest_batch_vectorized(graph, roots, 1, seed=0)
 
 
 @pytest.mark.benchmark(group="component-wilson")
 class TestWilsonSampling:
     def test_single_root(self, benchmark, sparse_graph):
         hub = int(np.argmax(sparse_graph.degrees))
-        benchmark(lambda: sample_rooted_forest(sparse_graph, [hub], seed=0))
+        benchmark(lambda: _draw_one(sparse_graph, [hub]))
 
     def test_enlarged_root_set(self, benchmark, sparse_graph):
         hubs = [int(v) for v in np.argsort(-sparse_graph.degrees)[:8]]
-        benchmark(lambda: sample_rooted_forest(sparse_graph, hubs, seed=0))
+        benchmark(lambda: _draw_one(sparse_graph, hubs))
 
     def test_dense_graph_single_root(self, benchmark, dense_graph):
         hub = int(np.argmax(dense_graph.degrees))
-        benchmark(lambda: sample_rooted_forest(dense_graph, [hub], seed=0))
+        benchmark(lambda: _draw_one(dense_graph, [hub]))
 
 
 @pytest.mark.benchmark(group="component-estimator")

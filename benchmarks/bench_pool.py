@@ -11,9 +11,10 @@ Two comparisons, both doubling as correctness gates:
   budget).  Both estimates are checked against the exact incremental
   inverse, so the timing comparison cannot drift apart semantically.
 * **Estimator fold** — folding one ``(B, n)`` :class:`ForestBatch` into a
-  :class:`repro.centrality.estimators.ForestAccumulator` with the batched
-  lane-walk kernel (``method="batched"``) vs the per-forest scalar reference
-  (``method="scalar"``); the running sums are cross-checked to 1e-9.
+  :class:`repro.centrality.estimators.ForestAccumulator` with the library's
+  batched lane-walk kernel (``add_batch``) vs the per-forest reference fold
+  ``scalar_fold`` of ``tests/oracles.py``; the running sums are
+  cross-checked to 1e-9.
 
 Runnable standalone (and wired into the CI bench-smoke job)::
 
@@ -24,7 +25,9 @@ Runnable standalone (and wired into the CI bench-smoke job)::
 from __future__ import annotations
 
 import argparse
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -39,6 +42,9 @@ from repro.experiments.report import (
 )
 from repro.graph import generators
 from repro.sampling import sample_forest_batch_vectorized
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles import scalar_fold  # noqa: E402
 
 
 def _hub_roots(graph, count: int):
@@ -192,25 +198,25 @@ def run_churn_comparison(n: int, pool_size: int, rounds: int,
 
 def run_fold_comparison(n: int, batch: int, jl_rows: int, repeats: int = 3,
                         seed: int = 0, verbose: bool = True) -> dict:
-    """Time the batched ``(B, n)`` estimator fold vs the scalar reference."""
+    """Time the batched ``(B, n)`` estimator fold vs the per-forest oracle."""
     graph = generators.barabasi_albert(n, 3, seed=seed)
     roots = _hub_roots(graph, 4)
     jl = rademacher_weights(jl_rows, n, roots, np.random.default_rng(seed))
     forests = sample_forest_batch_vectorized(graph, roots, batch, seed=seed + 1)
 
-    def timed(method: str):
+    def timed(fold):
         times = []
         accumulator = None
         for _ in range(max(1, repeats)):
             accumulator = ForestAccumulator(graph, roots, weights=jl,
                                             tracked_roots=[roots[0]], seed=0)
             start = time.perf_counter()
-            accumulator.add_batch(forests, method=method)
+            fold(accumulator, forests)
             times.append(time.perf_counter() - start)
         return times, accumulator
 
-    scalar_times, scalar_acc = timed("scalar")
-    batched_times, batched_acc = timed("batched")
+    scalar_times, scalar_acc = timed(scalar_fold)
+    batched_times, batched_acc = timed(ForestAccumulator.add_batch)
     scalar_seconds = min(scalar_times)
     batched_seconds = min(batched_times)
     for name in ("projected_sum", "diag_sum", "diag_sumsq", "root_counts"):

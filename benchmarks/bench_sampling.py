@@ -1,14 +1,13 @@
 """Forest-sampling benchmarks — lockstep vectorised batches vs the scalar loop.
 
-Sweeps the two ways this library can draw a batch of rooted spanning
-forests:
+Compares two ways to draw a batch of rooted spanning forests:
 
-* **scalar** — the per-forest Python loop of
-  :func:`repro.sampling.sample_rooted_forest` (the pre-vectorisation
-  default, still the fallback for batches too large for the lockstep
-  state);
-* **lockstep** — the vectorised cycle-popping kernel of
-  :func:`repro.sampling.sample_forest_batch_vectorized`.
+* **scalar** — the per-forest Python random walk of the reference oracle
+  ``sample_rooted_forest`` in ``tests/oracles.py`` (Wilson's algorithm one
+  walk at a time, the baseline the lockstep kernel must beat);
+* **lockstep** — the library's vectorised cycle-popping kernel
+  :func:`repro.sampling.sample_forest_batch_vectorized`, which draws every
+  forest the library uses.
 
 The sweep covers graph size ``n``, batch size ``B`` and root-set size
 ``|S|`` (roots are the top-degree hubs, matching how the CFCM algorithms
@@ -28,7 +27,9 @@ faster::
 from __future__ import annotations
 
 import argparse
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,7 +42,10 @@ from repro.experiments.report import (
     write_obs_artifacts,
 )
 from repro.graph import generators
-from repro.sampling import sample_forest_batch_vectorized, sample_rooted_forest
+from repro.sampling import sample_forest_batch_vectorized
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles import forests_of, sample_rooted_forest  # noqa: E402
 
 BENCH_BATCH = 32
 
@@ -82,8 +86,8 @@ class TestBatchPostprocessing:
 
     def test_per_forest_subtree_sums(self, benchmark, sparse_graph):
         roots = _hub_roots(sparse_graph, 4)
-        forests = sample_forest_batch_vectorized(sparse_graph, roots,
-                                                 BENCH_BATCH, seed=0).forests()
+        forests = forests_of(sample_forest_batch_vectorized(
+            sparse_graph, roots, BENCH_BATCH, seed=0))
         weights = np.ones((8, sparse_graph.n))
 
         def run():
@@ -143,7 +147,7 @@ def run_sampling_comparison(configs, repeats: int = 3, seed: int = 0,
         lockstep_seconds = min(lockstep_times)
         # The timings only compare identically distributed draws if the
         # lockstep batch is a genuine forest sample; validate it.
-        lockstep_batch.forest(0).validate_against(graph)
+        forests_of(lockstep_batch)[0].validate_against(graph)
         if not np.all(lockstep_batch.tree_sizes().sum(axis=1) == graph.n):
             raise AssertionError("lockstep batch does not span the graph")
 

@@ -16,10 +16,14 @@ SchurCFCM:
 
 Implementation note (documented substitution): the paper's C++ code maintains
 per-directed-edge counters ``N~^{a->b}_{u,S}`` incrementally in O(1) amortised
-per node.  Here every sampled forest is processed with vectorised NumPy
-passes — forest subtree sums per depth level, BFS-level prefix sums, and an
-Euler-tour ancestor test — which computes *exactly the same estimators* (same
-expectations, same per-sample values) with Python-friendly constant factors.
+per node.  Here forests are drawn as ``(B, n)`` batches by the lockstep
+sampler and folded a whole batch at a time with vectorised NumPy passes —
+batched forest subtree sums per depth level, BFS-level prefix sums, and a
+lane-compressed ancestor walk with an Euler-tour path test — which computes
+*exactly the same estimators* (same expectations, same per-sample values)
+with Python-friendly constant factors.  :meth:`ForestAccumulator.add_batch`
+is the one fold and :func:`run_adaptive_sampling` the one stopping rule
+(Lemma 3.6's empirical-Bernstein half-widths, line 17 of Algorithm 2).
 
 Per-sample quantities
 ---------------------
@@ -47,17 +51,17 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.exceptions import InvalidParameterError
+from repro.exceptions import GraphError, InvalidParameterError
 from repro.graph.graph import Graph
-from repro.graph.traversal import BFSTree, bfs_tree
+from repro.graph.traversal import bfs_tree
 from repro.linalg.jl import jl_dimension
 from repro.obs.tracing import trace
 from repro.sampling.batch import (
     ForestBatch,
     LOCKSTEP_STATE_LIMIT,
+    require_rooted_components,
     sample_forest_batch_vectorized,
 )
-from repro.sampling.wilson import require_rooted_components, sample_rooted_forest
 from repro.utils.rng import RandomState, as_rng
 
 
@@ -148,20 +152,24 @@ class PathSystem:
     """
 
     def __init__(self, parent: np.ndarray, roots: Sequence[int]):
-        from repro.sampling.forest import Forest as _Forest
-
         self.parent = np.asarray(parent, dtype=np.int64)
         self.roots = sorted(set(int(r) for r in roots))
         n = self.parent.size
+        if self.parent.ndim != 1:
+            raise GraphError(f"path parents must be 1-D, got shape {self.parent.shape}")
+        # A one-row forest batch checks the parent range and root pointers,
+        # and its pointer-doubling depths reject cycles and parentless
+        # non-roots, so a malformed path tree (a tampered checkpoint, say)
+        # fails here with a GraphError.
+        depth = ForestBatch(parent=self.parent[None, :], roots=self.roots).depths()[0]
         self.root_mask = np.zeros(n, dtype=bool)
         self.root_mask[self.roots] = True
         self.nonroot = np.flatnonzero(~self.root_mask)
-        tree = _Forest(parent=self.parent.copy(),
-                       roots=np.asarray(self.roots, dtype=np.int64))
-        # Euler-tour intervals give the O(1) "x on BFS path of u" test the
+        self._levels = [np.flatnonzero(depth == level)
+                        for level in range(int(depth.max()) + 1)]
+        # Euler-tour intervals give the O(1) "x on the path of u" test the
         # diagonal walk needs.
-        self.tin, self.tout = tree.euler_intervals()
-        self._levels: Optional[list] = None
+        self.tin, self.tout = _euler_intervals(self.parent, self.roots)
 
     @classmethod
     def from_graph(cls, graph: Graph, roots: Sequence[int]) -> "PathSystem":
@@ -184,26 +192,13 @@ class PathSystem:
         return bool(self.parent[u] == v or self.parent[v] == u)
 
     def levels(self) -> list:
-        """Nodes grouped by path-tree depth (level 0 = roots), cached.
+        """Nodes grouped by path-tree depth (level 0 = roots).
 
         The projected-estimator fold needs exactly this grouping for its
         per-level prefix sums; deriving it from the path tree itself (rather
         than a separate BFS object) lets pooled consumers fold projected
         rows against a long-lived path system.
         """
-        if self._levels is None:
-            depth = np.full(self.n, -1, dtype=np.int64)
-            depth[self.root_mask] = 0
-            pending = self.nonroot.copy()
-            while pending.size:
-                ready = depth[self.parent[pending]] >= 0
-                now = pending[ready]
-                depth[now] = depth[self.parent[now]] + 1
-                pending = pending[~ready]
-            self._levels = [
-                np.flatnonzero(depth == level)
-                for level in range(int(depth.max()) + 1 if depth.size else 0)
-            ]
         return self._levels
 
     def extended(self, attachment: int) -> "PathSystem":
@@ -220,6 +215,42 @@ class PathSystem:
             )
         parent = np.concatenate([self.parent, [attachment]])
         return PathSystem(parent, self.roots)
+
+
+def _euler_intervals(parent: np.ndarray, roots: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """Euler-tour entry/exit times ``(tin, tout)`` of a rooted forest.
+
+    ``a`` is an ancestor of ``u`` (or equal) iff ``tin[a] <= tin[u] <= tout[a]``.
+    """
+    n = parent.size
+    # Children lists in CSR form from one stable argsort of the parent
+    # array: the children of ``p`` are ``by_parent[starts[p]:ends[p]]``.
+    by_parent = np.argsort(parent, kind="stable").astype(np.int64)
+    sorted_parents = parent[by_parent]
+    nodes = np.arange(n, dtype=np.int64)
+    starts = np.searchsorted(sorted_parents, nodes, side="left")
+    ends = np.searchsorted(sorted_parents, nodes, side="right")
+    tin = np.zeros(n, dtype=np.int64)
+    tout = np.zeros(n, dtype=np.int64)
+    clock = 0
+    for root in roots:
+        root = int(root)
+        tin[root] = clock
+        clock += 1
+        stack = [[root, int(starts[root])]]
+        while stack:
+            node, cursor = stack[-1]
+            if cursor < ends[node]:
+                stack[-1][1] = cursor + 1
+                child = int(by_parent[cursor])
+                tin[child] = clock
+                clock += 1
+                stack.append([child, int(starts[child])])
+            else:
+                tout[node] = clock
+                clock += 1
+                stack.pop()
+    return tin, tout
 
 
 def batched_diag_estimates(forest_parent: np.ndarray, path: PathSystem,
@@ -383,22 +414,14 @@ class ForestAccumulator:
         if not self.roots:
             raise InvalidParameterError("root set must be non-empty")
         self.rng = as_rng(seed)
-        require_rooted_components(graph, self.roots)
-        self.tree: BFSTree = bfs_tree(graph, self.roots)
-        self.tau = int(self.tree.max_depth)
-
-        n = graph.n
         # The fixed path system (BFS-tree paths with Euler-tour intervals):
         # the diagonal estimator walks each node's forest path and tests
         # membership of the BFS path with the intervals, so no per-sample
-        # tour is ever needed.
-        self._path = PathSystem(self.tree.parent, self.roots)
-        self._root_mask = self._path.root_mask
-        self._bfs_parent = self._path.parent
-        self._levels = self.tree.levels()
-        self._nonroot = self._path.nonroot
-        self._bfs_tin, self._bfs_tout = self._path.tin, self._path.tout
+        # tour is ever needed.  Its height τ bounds every per-sample value.
+        self._path = PathSystem.from_graph(graph, self.roots)
+        self.tau = len(self._path.levels()) - 1
 
+        n = graph.n
         if weights is None:
             weights = np.zeros((0, n))
         weights = np.asarray(weights, dtype=np.float64)
@@ -429,10 +452,9 @@ class ForestAccumulator:
     def add_samples(self, batch_size: int) -> None:
         """Sample ``batch_size`` forests and fold them into the running sums.
 
-        Batches of two or more are drawn with the lockstep vectorised
-        sampler (in chunks sized so the batched subtree-sum tensor stays
-        memory-bounded) and folded through :meth:`add_batch`; a single
-        sample falls back to the scalar sampler.
+        Forests are drawn with the lockstep vectorised sampler in chunks
+        sized so the batched subtree-sum tensor stays memory-bounded, and
+        each chunk is folded through :meth:`add_batch`.
         """
         remaining = int(batch_size)
         if remaining <= 0:
@@ -445,46 +467,19 @@ class ForestAccumulator:
                                (1 << 24) // max(n * rows, 1)))
         while remaining > 0:
             take = min(remaining, chunk_cap)
-            if take == 1:
-                forest = sample_rooted_forest(self.graph, self.roots, seed=self.rng)
-                self._process(forest)
-            else:
-                batch = sample_forest_batch_vectorized(self.graph, self.roots,
-                                                       take, seed=self.rng)
-                self.add_batch(batch)
+            batch = sample_forest_batch_vectorized(self.graph, self.roots,
+                                                   take, seed=self.rng)
+            self.add_batch(batch)
             remaining -= take
 
-    def add_forest(self, forest, weight: float = 1.0) -> None:
-        """Fold one externally sampled forest into the running sums.
-
-        The forest must be rooted at this accumulator's root set; this is the
-        entry point for callers that manage their own forest pool (batch
-        sampling workers, the dynamic engine's importance-weighted cache).
-        ``weight`` is the forest's importance weight (1 for a fresh sample).
-        """
-        if forest.n != self.graph.n:
-            raise InvalidParameterError(
-                f"forest has {forest.n} nodes, graph has {self.graph.n}"
-            )
-        if [int(r) for r in forest.roots] != self.roots:
-            raise InvalidParameterError(
-                f"forest roots {forest.roots.tolist()} do not match the "
-                f"accumulator root set {self.roots}"
-            )
-        self._process(forest, weight=float(weight))
-
     def add_batch(self, batch: ForestBatch,
-                  weights: Optional[np.ndarray] = None,
-                  method: str = "batched") -> None:
+                  weights: Optional[np.ndarray] = None) -> None:
         """Fold a whole :class:`~repro.sampling.batch.ForestBatch` in at once.
 
-        ``method="batched"`` (the default) runs the fully vectorised
-        ``(B, n)`` fold of :meth:`_fold_batched`: one batched subtree-sum /
-        root-map kernel plus a lane-compressed ancestor walk whose Python
-        loop runs over the *batch-wide* maximum forest depth instead of once
-        per forest.  ``method="scalar"`` folds each forest through the
-        per-forest reference :meth:`_fold` (the chi-square baseline); both
-        paths produce the same running sums up to float summation order.
+        Runs the fully vectorised ``(B, n)`` fold of :meth:`_fold_batched`:
+        one batched subtree-sum / root-map kernel plus a lane-compressed
+        ancestor walk whose Python loop runs over the *batch-wide* maximum
+        forest depth instead of once per forest.
 
         ``weights`` optionally assigns each forest an importance weight
         (default 1), making every estimate a self-normalised weighted mean —
@@ -514,117 +509,14 @@ class ForestAccumulator:
                 raise InvalidParameterError(
                     "per-forest weights must be finite and non-negative"
                 )
-        method = str(method).lower()
-        if method not in ("batched", "scalar"):
-            raise InvalidParameterError(
-                f"method must be 'batched' or 'scalar', got {method!r}"
-            )
-        with trace("estimator.fold", forests=batch.batch_size, method=method):
-            if method == "batched":
-                self._fold_batched(batch, weights)
-                return
-            subtree = (batch.subtree_sums(self.weights)
-                       if self.weights.shape[0] else None)
-            root_of = batch.root_of() if self.tracked_roots else None
-            for index in range(batch.batch_size):
-                self._fold(
-                    batch.parent[index],
-                    None if subtree is None else subtree[index],
-                    None if root_of is None else root_of[index],
-                    weight=float(weights[index]),
-                )
-
-    def _process(self, forest, weight: float = 1.0) -> None:
-        subtree = forest.subtree_sums(self.weights) if self.weights.shape[0] else None
-        root_of = forest.root_of() if self.tracked_roots else None
-        self._fold(forest.parent, subtree, root_of, weight=weight)
-
-    def _fold(self, parent: np.ndarray, subtree: Optional[np.ndarray],
-              root_of: Optional[np.ndarray], weight: float = 1.0) -> None:
-        """Fold one forest, given its precomputed derived arrays.
-
-        The scalar reference path: :meth:`_fold_batched` computes the same
-        sums for a whole batch at once, and the distributional (chi-square)
-        suites pin this version as the baseline.  ``subtree`` is the
-        ``(w, n)`` forest-subtree sum of :attr:`weights` (``None`` when
-        there are no weight rows) and ``root_of`` the rooted-at map
-        (``None`` when no roots are tracked); both may be rows of the
-        batched kernels' outputs.
-        """
-        n = self.graph.n
-        bfs_parent = self._bfs_parent
-        nonroot = self._nonroot
-
-        alpha = np.zeros(n, dtype=bool)
-        beta = np.zeros(n, dtype=bool)
-        # alpha_x: the forest parent edge of x coincides with its BFS edge.
-        alpha[nonroot] = parent[nonroot] == bfs_parent[nonroot]
-        # beta_x: the forest parent edge of x's BFS parent points back at x,
-        # i.e. the BFS edge of x is traversed downward by the forest path.
-        beta[nonroot] = parent[bfs_parent[nonroot]] == nonroot
-
-        # Projected (weight-vector) estimators: forest-subtree sums of the
-        # weights, folded along the BFS tree with per-level prefix sums.
-        if subtree is not None:
-            contribution = np.zeros_like(subtree)
-            contribution[:, nonroot] = (
-                subtree[:, nonroot] * alpha[nonroot]
-                - subtree[:, bfs_parent[nonroot]] * beta[nonroot]
-            )
-            projected = np.zeros_like(subtree)
-            for level in range(1, len(self._levels)):
-                nodes = self._levels[level]
-                if nodes.size == 0:
-                    continue
-                projected[:, nodes] = projected[:, bfs_parent[nodes]] + contribution[:, nodes]
-            self.projected_sum += weight * projected
-
-        # Diagonal estimators.  Rewriting the Lemma 3.3 path sum so that the
-        # outer iteration runs over each node's *forest* ancestors gives
-        #
-        #   c_u = sum_{x in Fanc(u) \ S} ( alpha_x [x in BFSpath(u)]
-        #                                  - delta_x [pi_x in BFSpath(u)] )
-        #
-        # with delta_x = 1 iff bfs_parent(pi_x) = x.  Membership of the fixed
-        # BFS path is an Euler-interval test precomputed in the constructor,
-        # so every walk step below is a handful of vectorised array ops.
-        tin, tout = self._bfs_tin, self._bfs_tout
-        delta = np.zeros(n, dtype=bool)
-        has_parent = parent >= 0
-        delta[has_parent] = bfs_parent[parent[has_parent]] == np.flatnonzero(has_parent)
-        diag = np.zeros(n)
-        cursor = nonroot.copy()
-        active = nonroot.copy()
-        tin_active = tin[active]
-        while active.size:
-            x = cursor
-            on_path_x = (tin[x] <= tin_active) & (tin_active <= tout[x])
-            pi_x = parent[x]
-            safe_pi = np.where(pi_x >= 0, pi_x, x)
-            on_path_pi = (tin[safe_pi] <= tin_active) & (tin_active <= tout[safe_pi])
-            diag[active] += (
-                (alpha[x] & on_path_x).astype(np.float64)
-                - (delta[x] & on_path_pi & (pi_x >= 0)).astype(np.float64)
-            )
-            keep = (pi_x >= 0) & ~self._root_mask[safe_pi]
-            active = active[keep]
-            cursor = pi_x[keep]
-            tin_active = tin_active[keep]
-        self.diag_sum += weight * diag
-        self.diag_sumsq += weight * (diag * diag)
-
-        # Rooted probabilities for the tracked (Schur) roots.
-        if root_of is not None:
-            for idx, target in enumerate(self.tracked_roots):
-                self.root_counts[:, idx] += weight * (root_of == target)
-
-        self.count += weight
+        with trace("estimator.fold", forests=batch.batch_size):
+            self._fold_batched(batch, weights)
 
     def _fold_batched(self, batch: ForestBatch, weights: np.ndarray) -> None:
         """Fold a whole batch with ``(B, n)`` kernels (no per-forest pass).
 
-        Computes exactly the sums of running :meth:`_fold` over every row of
-        the batch (up to float summation order):
+        Computes exactly the sums of folding every row of the batch one
+        forest at a time (up to float summation order):
 
         * ``alpha``/``beta``/``delta`` indicators as ``(B, n)`` comparisons;
         * the projected estimators via the batched subtree-sum kernel and a
@@ -678,7 +570,14 @@ class ForestAccumulator:
         return np.maximum(self.diag_sumsq / self.count - mean * mean, 0.0)
 
     def diag_half_widths(self, delta: float) -> np.ndarray:
-        """Empirical-Bernstein half-widths of the diagonal estimates."""
+        """Empirical-Bernstein half-widths of the diagonal estimates.
+
+        Lemma 3.6 with failure probability ``delta``: for ``r`` samples of
+        empirical variance ``V_u`` bounded by the path height ``τ``,
+        ``err_u = sqrt(2 V_u ln(3/δ) / r) + 3 τ ln(3/δ) / r``.
+        """
+        if not 0.0 < delta < 1.0:
+            raise InvalidParameterError(f"delta must lie in (0, 1), got {delta}")
         self._require_samples()
         variances = self.diag_variances()
         bound = float(max(self.tau, 1))
@@ -694,7 +593,7 @@ class ForestAccumulator:
         """
         self._require_samples()
         fractions = self.root_counts / self.count
-        fractions[self._root_mask] = 0.0
+        fractions[self._path.root_mask] = 0.0
         return fractions
 
     def _require_samples(self) -> None:
@@ -726,7 +625,7 @@ def run_adaptive_sampling(accumulator: ForestAccumulator, config: SamplingConfig
     delta = config.failure_probability(n)
     cap = config.sample_cap(n)
     if monitored is None:
-        monitored = ~accumulator._root_mask
+        monitored = ~accumulator._path.root_mask
     monitored = np.asarray(monitored, dtype=bool)
 
     batch = config.initial_batch

@@ -1,12 +1,12 @@
-"""Lockstep vectorised batch sampling of uniform rooted spanning forests.
+"""Lockstep vectorised sampling of uniform rooted spanning forests.
 
-Monte Carlo consumers of Wilson's algorithm (the ForestCFCM/SchurCFCM
-estimators, the dynamic engine's forest pools, the async service's
-resampling workers) draw *batches* of independent forests.  The scalar
-sampler in :mod:`repro.sampling.wilson` pays Python-interpreter cost for
-every random-walk step; this module amortises that cost across the whole
-batch by running all ``B`` independent Wilson processes **in lockstep** in
-NumPy.
+Algorithm 1 of the paper draws a rooted spanning forest with Wilson's
+random walk.  Monte Carlo consumers (the ForestCFCM/SchurCFCM estimators,
+the dynamic engine's forest pools, the async service's resampling workers)
+need many independent forests, and a Python-interpreted walk pays
+interpreter cost for every step.  This module draws every forest the
+library uses, from single forests to large batches, by running all ``B``
+independent Wilson processes **in lockstep** in NumPy.
 
 The kernel uses the *cycle-popping* formulation of Wilson's algorithm
 (Wilson 1996; Propp & Wilson 1998): every non-root site of every sample
@@ -28,22 +28,26 @@ schedule; this kernel uses a vectorised one:
    catching cycles of any length;
 4. *scalar finish*: once the undecided residue is small (or a sweep budget
    is exhausted on a popping-hostile graph), the remaining sites are
-   finished with the scalar walk.  Pre-drawn arrows are revealed-but-
+   finished with a random walk.  Pre-drawn arrows are revealed-but-
    unpopped stack tops, so the walk **follows** them on first visit and
    draws fresh on revisits — exactly the continuation of the same popping
    process, not a re-draw.
 
 Every arrow ever drawn is an independent uniform neighbour, so by the
-cycle-popping theorem the batch is ``B`` i.i.d. draws from the same uniform
-rooted-forest distribution as the scalar sampler (see
-``tests/test_batch_sampling.py`` for the distributional equivalence suite).
-The speedup is largest in the regime the paper's algorithms actually hit —
-expander-like graphs rooted at a group containing hubs (greedy roots
-forests at the growing group ``S``; SchurCFCM enlarges the root set with
-high-degree nodes for exactly this reason).  On slow-mixing graphs (rings,
-paths) the sweep budget bails out early and most of the work falls through
-to the scalar finish, so the kernel degrades to roughly scalar speed
-instead of losing badly.
+cycle-popping theorem the batch is ``B`` i.i.d. draws from the uniform
+rooted-forest distribution (``tests/test_batch_sampling.py`` checks it
+against the exact Lemma 4.2 absorption probabilities and against a
+reference random-walk sampler).  The speedup is largest in the regime the
+paper's algorithms actually hit — expander-like graphs rooted at a group
+containing hubs (greedy roots forests at the growing group ``S``;
+SchurCFCM enlarges the root set with high-degree nodes for exactly this
+reason).  On slow-mixing graphs (rings, paths) the sweep budget bails out
+early and most of the work falls through to the scalar finish.
+
+State is indexed with int32 and arrows are drawn in float32 whenever that
+is exact; a chunk whose ``B * n`` state or ``2m`` adjacency would overflow
+int32 switches to int64 indices, and a graph whose maximum degree exceeds
+the float32 mantissa switches to float64 draws.
 
 The result is a :class:`ForestBatch`: a ``(B, n)`` parent matrix with
 *batched* post-processing kernels (pointer-doubling ``root_of``/``depths``,
@@ -55,16 +59,14 @@ a per-forest Python pass.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.exceptions import GraphError, InvalidParameterError
+from repro.exceptions import DisconnectedGraphError, GraphError, InvalidParameterError
 from repro.graph.graph import Graph
 from repro.obs.metrics import REGISTRY, SIZE_BUCKETS
 from repro.obs.tracing import trace
-from repro.sampling.forest import Forest
-from repro.sampling.wilson import require_rooted_components, sample_rooted_forest
 from repro.utils.rng import RandomState, as_rng
 from repro.utils.validation import check_group
 
@@ -78,11 +80,17 @@ _LOCKSTEP_FORESTS = REGISTRY.histogram(
     buckets=SIZE_BUCKETS,
 )
 
-# The lockstep sampler keeps O(B * n) state (arrow field + working set) and
-# indexes it with int32; batches whose state would exceed this many entries
-# are drawn in internal chunks, and dispatchers fall back to the scalar
-# path beyond it.
+# The lockstep sampler keeps O(B * n) state (arrow field + working set);
+# batches whose state would exceed this many entries are drawn in internal
+# chunks (one forest per chunk once n alone exceeds it).
 LOCKSTEP_STATE_LIMIT = 1 << 25
+
+# Largest flat pair id / CSR offset an int32 index may hold; a chunk or
+# graph beyond it is indexed with int64.
+_INT32_INDEX_LIMIT = int(np.iinfo(np.int32).max)
+# Largest degree whose neighbours a float32 uniform draw reaches exactly
+# (its 24-bit mantissa); a hub beyond it switches the draws to float64.
+_FLOAT32_DEGREE_LIMIT = 1 << 24
 
 # Hand the residue to the scalar finish once fewer than (B * n) >> SWITCH
 # pairs remain undecided: below that width the per-sweep NumPy call
@@ -110,9 +118,10 @@ class ForestBatch:
     roots:
         Sorted root set shared by every sample.
 
-    The derived-quantity methods mirror :class:`repro.sampling.Forest` but
-    operate on the whole batch at once; :meth:`forest` materialises one row
-    as a :class:`Forest` (sharing any caches already computed batch-wide).
+    Every derived quantity is computed for the whole batch at once; a
+    single forest is a batch of one row.  Construction checks the parent
+    range; :meth:`root_of`/:meth:`depths` raise :class:`GraphError` on a
+    cycle or a parentless non-root.
     """
 
     parent: np.ndarray
@@ -132,6 +141,8 @@ class ForestBatch:
             raise GraphError("a rooted forest batch needs at least one root")
         if self.roots.min() < 0 or self.roots.max() >= n:
             raise GraphError("forest roots outside node range")
+        if self.parent.size and (self.parent.min() < -1 or self.parent.max() >= n):
+            raise GraphError(f"forest parents outside node range [-1, {n})")
         if self.parent.size and np.any(self.parent[:, self.roots] != -1):
             raise GraphError("roots must have parent -1 in every sample")
 
@@ -287,31 +298,6 @@ class ForestBatch:
         return cls(parent=np.vstack([b.parent for b in batches]),
                    roots=first.roots.copy())
 
-    # ------------------------------------------------------------ materialise
-    def forest(self, index: int) -> Forest:
-        """Row ``index`` as a standalone :class:`Forest` (caches carried over)."""
-        index = int(index)
-        if not 0 <= index < self.batch_size:
-            raise InvalidParameterError(
-                f"forest index {index} outside batch of {self.batch_size}"
-            )
-        forest = Forest(parent=self.parent[index].copy(), roots=self.roots.copy())
-        if self._root_of is not None:
-            forest._root_of = self._root_of[index].copy()
-            forest._depth = self._depth[index].copy()
-            forest._order = np.argsort(forest._depth, kind="stable").astype(np.int64)
-        return forest
-
-    def forests(self) -> List[Forest]:
-        """The whole batch as a list of :class:`Forest` objects."""
-        return [self.forest(i) for i in range(self.batch_size)]
-
-    def __iter__(self) -> Iterator[Forest]:
-        return iter(self.forests())
-
-    def __getitem__(self, index: int) -> Forest:
-        return self.forest(index)
-
     # --------------------------------------------------------------- internals
     def _compute_orders(self) -> None:
         """Batched pointer-doubling pass for depths and tree roots."""
@@ -343,6 +329,31 @@ class ForestBatch:
         self._depth = distance
 
 
+def require_rooted_components(graph: Graph, roots: Sequence[int]) -> None:
+    """Raise :class:`DisconnectedGraphError` unless every component has a root.
+
+    Wilson walks from a node terminate almost surely exactly when the node's
+    connected component holds a root, so this check up front is the whole
+    termination guarantee — no walk-length budget is needed (a budget
+    wrongly rejects connected graphs with Θ(n²) expected walks, such as long
+    paths and rings).  The component labelling is O(m) once per graph
+    (:meth:`Graph.component_labels` caches it); every later check costs
+    O(|S| + components).
+    """
+    labels = graph.component_labels()
+    count = int(labels.max()) + 1
+    if count == 1:
+        return
+    rooted = np.zeros(count, dtype=bool)
+    rooted[labels[np.asarray(list(roots), dtype=np.int64)]] = True
+    if not rooted.all():
+        orphan = int(np.argmax(labels == np.argmin(rooted)))
+        raise DisconnectedGraphError(
+            f"node {orphan} lies in a connected component without a "
+            f"root; every component must contain a root node"
+        )
+
+
 def sample_forest_batch_vectorized(graph: Graph, roots, count: int,
                                    seed: RandomState = None) -> ForestBatch:
     """Sample ``count`` independent rooted forests with lockstep kernels.
@@ -354,12 +365,13 @@ def sample_forest_batch_vectorized(graph: Graph, roots, count: int,
     the residue.  Every arrow is an i.i.d. uniform neighbour and only
     cycles are ever popped, so by Wilson's cycle-popping theorem the batch
     is ``count`` independent draws from the *same* uniform rooted-forest
-    distribution as :func:`repro.sampling.sample_rooted_forest`.
+    distribution as Wilson's random-walk sampler.  A single forest is a
+    batch of ``count=1``.
 
     Parameters
     ----------
     graph:
-        Connected undirected graph.
+        Undirected graph in which every connected component holds a root.
     roots:
         Non-empty root set ``S`` shared by every sample.
     count:
@@ -367,9 +379,7 @@ def sample_forest_batch_vectorized(graph: Graph, roots, count: int,
         state exceeds :data:`LOCKSTEP_STATE_LIMIT` are drawn in internal
         chunks.
     seed:
-        Seed or generator; a given seed fully determines the batch (the
-        stream differs from the scalar sampler's, which consumes randoms
-        one walk at a time).
+        Seed or generator; a given seed fully determines the batch.
 
     Returns
     -------
@@ -388,49 +398,40 @@ def sample_forest_batch_vectorized(graph: Graph, roots, count: int,
 
     _LOCKSTEP_FORESTS.observe(count)
     with trace("sampling.lockstep", forests=count, n=n) as span:
-        if (n > LOCKSTEP_STATE_LIMIT
-                or 2 * graph.m > np.iinfo(np.int32).max
-                or (graph.degrees.size and int(graph.degrees.max()) > (1 << 24))):
-            # The kernel's int32 pair/CSR indexing would overflow (huge n or
-            # adjacency), or a hub's degree exceeds the float32 mantissa so
-            # the cheap arrow draw could not reach all its neighbours; this
-            # regime belongs to the scalar path.
-            span.set(path="scalar")
-            rows = [sample_rooted_forest(graph, roots, seed=rng).parent
-                    for _ in range(count)]
-            return ForestBatch(parent=np.vstack(rows), roots=root_arr)
         chunk = max(1, LOCKSTEP_STATE_LIMIT // max(n, 1))
-        if count > chunk:
-            pieces = []
-            remaining = count
-            while remaining > 0:
-                take = min(remaining, chunk)
-                pieces.append(_sample_chunk(graph, root_arr, take, rng))
-                _LOCKSTEP_CHUNKS.inc()
-                remaining -= take
-            span.set(chunks=len(pieces))
-            return ForestBatch(parent=np.vstack(pieces), roots=root_arr)
-        parent = _sample_chunk(graph, root_arr, count, rng)
-        _LOCKSTEP_CHUNKS.inc()
-        span.set(chunks=1)
+        pieces = []
+        for start in range(0, count, chunk):
+            pieces.append(_sample_chunk(graph, root_arr, min(chunk, count - start), rng))
+            _LOCKSTEP_CHUNKS.inc()
+        span.set(chunks=len(pieces))
+        parent = pieces[0] if len(pieces) == 1 else np.vstack(pieces)
         return ForestBatch(parent=parent, roots=root_arr)
 
 
 def _sample_chunk(graph: Graph, root_arr: np.ndarray, batch: int,
                   rng: np.random.Generator) -> np.ndarray:
-    """One lockstep cycle-popping pass; returns the ``(batch, n)`` parents."""
+    """One lockstep cycle-popping pass; returns the ``(batch, n)`` parents.
+
+    Flat pair ids run up to ``batch * n`` and CSR offsets up to ``2m``; both
+    fit int32 on every graph the estimators meet, and int64 takes over
+    beyond.  Arrows are drawn in float32 unless a hub's degree exceeds the
+    float32 mantissa, where float64 keeps every neighbour reachable.
+    """
     n = graph.n
-    index_dtype = np.int32
+    wide = max(batch * n, 2 * graph.m) > _INT32_INDEX_LIMIT
+    index_dtype = np.int64 if wide else np.int32
+    max_degree = int(graph.degrees.max()) if graph.degrees.size else 0
+    draw_dtype = np.float64 if max_degree > _FLOAT32_DEGREE_LIMIT else np.float32
     indptr = graph.indptr.astype(index_dtype)
     adjacency = graph.adjacency.astype(index_dtype)
     degrees = graph.degrees.astype(index_dtype)
-    degrees_f = graph.degrees.astype(np.float32)
+    degrees_f = graph.degrees.astype(draw_dtype)
     root_mask = np.zeros(n, dtype=bool)
     root_mask[root_arr] = True
 
     def draw_arrows(nodes: np.ndarray) -> np.ndarray:
         """One uniform-neighbour arrow per node (float32 keeps draws cheap)."""
-        r = rng.random(nodes.size, dtype=np.float32)
+        r = rng.random(nodes.size, dtype=draw_dtype)
         pick = (r * degrees_f[nodes]).astype(index_dtype)
         np.minimum(pick, degrees[nodes] - 1, out=pick)  # measure-zero guard
         return adjacency[indptr[nodes] + pick]
@@ -439,7 +440,7 @@ def _sample_chunk(graph: Graph, root_arr: np.ndarray, batch: int,
     # entering the root set saturates there.
     nonroot = np.flatnonzero(~root_mask).astype(index_dtype)
     succ = np.arange(batch * n, dtype=index_dtype)
-    # Working set of undecided pairs, kept as one (3, K) int32 matrix so
+    # Working set of undecided pairs, kept as one (3, K) index matrix so
     # shrinking it is a single boolean compress: rows are the flat pair id,
     # the node id, and the sample base (pair id - node id).
     state = np.empty((3, batch * nonroot.size), dtype=index_dtype)
@@ -510,7 +511,7 @@ def _scalar_finish(graph: Graph, root_arr: np.ndarray, parent: np.ndarray,
     revisit closes a cycle through the node, which pops its arrow).  This
     continues the exact same popping process the vector phase ran, so the
     joint distribution is unchanged.  Decided pairs act as the grown forest
-    (walks attach to them), mirroring ``sample_rooted_forest``.
+    (walks attach to them), as in Wilson's random-walk sampler.
     """
     n = graph.n
     indptr, adjacency, degrees = graph.adjacency_lists()

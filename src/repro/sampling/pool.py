@@ -2,14 +2,10 @@
 
 Monte Carlo consumers that survive graph mutations (the dynamic engine's
 :meth:`~repro.dynamic.DynamicCFCM.evaluate_forest`, the async service's
-resampling workers) keep a *pool* of sampled forests per root set.  Before
-this module, pools were lists of :class:`~repro.sampling.forest.Forest`
-objects that were flushed wholesale whenever the graph drifted: edge
-insertions bumped a crude drift counter, node insertions and reweights threw
-every stored sample away.
-
-:class:`WeightedForestPool` replaces that policy with importance weighting
-over one :class:`~repro.sampling.batch.ForestBatch`-backed ``(B, n)`` parent
+resampling workers) keep a *pool* of sampled forests per root set.  Rather
+than flushing the pool wholesale whenever the graph drifts,
+:class:`WeightedForestPool` applies importance weighting over one
+:class:`~repro.sampling.batch.ForestBatch`-backed ``(B, n)`` parent
 matrix.  Every stored forest carries a **log importance weight relative to a
 forest freshly drawn from the current graph's rooted-forest distribution**
 (fresh draws enter at log-weight 0).  Mutations update weights instead of

@@ -13,7 +13,8 @@ from repro.centrality.absorbing import (
 )
 from repro.centrality.exact_greedy import ExactGreedy
 from repro.centrality.heuristics import degree_group
-from repro.sampling.wilson import expected_sampling_cost
+
+from oracles import expected_sampling_cost
 
 
 class TestHittingTimes:

@@ -1,16 +1,18 @@
 """Tests for the lockstep vectorised forest sampler and ForestBatch kernels.
 
-Covers the three contracts the batch sampler must honour:
+Covers the three contracts the batch sampler must honour, against the
+reference oracles in ``tests/oracles.py``:
 
-* **Scalar regression** — the scalar sampler's fixed-seed output is locked,
-  so vectorisation refactors cannot silently change the reference stream.
+* **Scalar regression** — the reference random-walk sampler's fixed-seed
+  output is locked, so the oracle the other suites lean on cannot drift.
 * **Structural equivalence** — every batched derived quantity (``root_of``,
   ``depths``, ``subtree_sums``, ``tree_sizes``) matches the per-forest
-  :class:`repro.sampling.Forest` computation exactly, and the accumulator's
-  batched fold reproduces the per-forest fold bit for bit.
+  :class:`oracles.Forest` computation exactly, and the accumulator's
+  batched fold reproduces the per-forest fold.
 * **Distributional equivalence** — a chi-square test checks the lockstep
-  sampler's empirical root distribution against the exact absorption matrix
-  of Lemma 4.2, at the same thresholds the scalar sampler is held to.
+  sampler's empirical root distribution (including its wide-index path)
+  against the exact absorption matrix of Lemma 4.2, at the same thresholds
+  the reference sampler is held to.
 """
 
 import numpy as np
@@ -23,17 +25,19 @@ from repro.exceptions import DisconnectedGraphError, GraphError, InvalidParamete
 from repro.graph import generators
 from repro.graph.graph import Graph
 from repro.linalg.schur import absorption_probabilities
-from repro.sampling import (
-    Forest,
-    ForestBatch,
-    sample_forest_batch_vectorized,
-    sample_rooted_forest,
-)
-from repro.sampling.wilson import empirical_root_distribution
+from repro.obs import tracing
+from repro.sampling import ForestBatch, sample_forest_batch_vectorized
 
-# Fixed-seed output of the scalar sampler on karate with roots={0}, seed=123.
-# The lockstep kernel reuses scalar building blocks (e.g. the scalar finish);
-# this regression pins the reference stream those blocks are validated against.
+from oracles import (
+    Forest,
+    empirical_root_distribution,
+    forests_of,
+    sample_rooted_forest,
+    scalar_fold,
+)
+
+# Fixed-seed output of the reference sampler on karate with roots={0},
+# seed=123; this regression pins the oracle stream the suites compare with.
 KARATE_SCALAR_PARENT_SEED123 = [
     -1, 19, 3, 1, 0, 16, 4, 3, 33, 33, 4, 0, 0, 3, 33, 32, 6, 0, 32, 0, 33, 0,
     32, 25, 31, 24, 33, 33, 33, 23, 1, 33, 30, 22,
@@ -58,11 +62,23 @@ class TestScalarRegression:
                 assert forest.is_ancestor(candidate, node) == (candidate in path)
 
 
+def _force_wide_path(monkeypatch, graph):
+    """Make ``graph`` take the oversized-input path of the lockstep kernel.
+
+    One forest per chunk (``n`` exceeds the state limit), int64 indices (the
+    int32 bound is below every pair id) and float64 arrow draws (every
+    degree exceeds the float32 bound).
+    """
+    monkeypatch.setattr(batch_module, "LOCKSTEP_STATE_LIMIT", graph.n - 1)
+    monkeypatch.setattr(batch_module, "_INT32_INDEX_LIMIT", 0)
+    monkeypatch.setattr(batch_module, "_FLOAT32_DEGREE_LIMIT", 0)
+
+
 class TestLockstepValidity:
     def test_batch_forests_are_valid(self, karate):
         batch = sample_forest_batch_vectorized(karate, [0, 33], 16, seed=0)
         assert batch.batch_size == 16 and batch.n == karate.n
-        for forest in batch:
+        for forest in forests_of(batch):
             forest.validate_against(karate)
         assert np.all(batch.tree_sizes().sum(axis=1) == karate.n)
 
@@ -89,13 +105,13 @@ class TestLockstepValidity:
     def test_slow_mixing_graph_still_correct(self):
         ring = generators.watts_strogatz(120, 4, 0.05, seed=9)
         batch = sample_forest_batch_vectorized(ring, [0], 8, seed=2)
-        for forest in batch:
+        for forest in forests_of(batch):
             forest.validate_against(ring)
 
     def test_empty_batch(self, karate):
         batch = sample_forest_batch_vectorized(karate, [0], 0, seed=0)
         assert batch.batch_size == 0
-        assert batch.forests() == []
+        assert batch.parent.shape == (0, karate.n)
 
     def test_invalid_inputs(self, karate):
         with pytest.raises(InvalidParameterError):
@@ -112,15 +128,32 @@ class TestLockstepValidity:
         monkeypatch.setattr(batch_module, "LOCKSTEP_STATE_LIMIT", 3 * karate.n)
         batch = sample_forest_batch_vectorized(karate, [0], 10, seed=5)
         assert batch.batch_size == 10
-        for forest in batch:
+        for forest in forests_of(batch):
             forest.validate_against(karate)
 
-    def test_oversized_graph_falls_back_to_scalar(self, karate, monkeypatch):
-        monkeypatch.setattr(batch_module, "LOCKSTEP_STATE_LIMIT", karate.n - 1)
-        batch = sample_forest_batch_vectorized(karate, [0, 33], 3, seed=6)
+    def test_oversized_graph_draws_one_forest_per_chunk(self, karate, monkeypatch):
+        _force_wide_path(monkeypatch, karate)
+        tracer = tracing.enable_tracing()
+        try:
+            batch = sample_forest_batch_vectorized(karate, [0, 33], 3, seed=6)
+        finally:
+            tracing.disable_tracing()
+        [span] = [s for s in tracer.spans() if s["name"] == "sampling.lockstep"]
+        assert span["attrs"]["forests"] == 3 and span["attrs"]["chunks"] == 3
         assert batch.batch_size == 3
-        for forest in batch:
+        for forest in forests_of(batch):
             forest.validate_against(karate)
+
+    def test_index_and_draw_width_switches(self, karate, monkeypatch):
+        narrow = sample_forest_batch_vectorized(karate, [0, 33], 4, seed=3).parent
+        # int64 indices address the same pairs: same forests, same stream.
+        monkeypatch.setattr(batch_module, "_INT32_INDEX_LIMIT", 0)
+        wide = sample_forest_batch_vectorized(karate, [0, 33], 4, seed=3).parent
+        assert np.array_equal(wide, narrow)
+        # float64 draws consume the stream differently.
+        monkeypatch.setattr(batch_module, "_FLOAT32_DEGREE_LIMIT", 0)
+        wide_draws = sample_forest_batch_vectorized(karate, [0, 33], 4, seed=3).parent
+        assert not np.array_equal(wide_draws, narrow)
 
 
 class TestForestBatchKernels:
@@ -144,14 +177,6 @@ class TestForestBatchKernels:
             for j, root in enumerate(batch.roots):
                 assert int(sizes[i, j]) == expected_sizes[int(root)]
 
-    def test_materialised_forests_carry_caches(self, karate):
-        batch = sample_forest_batch_vectorized(karate, [0], 4, seed=8)
-        batch.root_of()  # prime the batched caches
-        forest = batch[2]
-        assert forest._root_of is not None
-        forest.validate_against(karate)
-        assert np.array_equal(forest.root_of(), batch.root_of()[2])
-
     def test_subtree_sums_rejects_bad_shapes(self, karate):
         batch = sample_forest_batch_vectorized(karate, [0], 2, seed=0)
         with pytest.raises(GraphError):
@@ -166,17 +191,15 @@ class TestForestBatchKernels:
             ForestBatch(parent=np.zeros((2, 4), dtype=np.int64), roots=[9])
         with pytest.raises(GraphError):  # root rows must hold -1
             ForestBatch(parent=np.zeros((2, 4), dtype=np.int64), roots=[0])
+        for bad in (4, 9, -2):  # parents outside [-1, n)
+            with pytest.raises(GraphError):
+                ForestBatch(parent=[[-1, 0, 1, 2], [-1, 0, bad, 2]], roots=[0])
 
     def test_unreachable_node_detected(self):
         parent = np.array([[-1, 2, 1, 0]])  # 1 <-> 2 is a cycle
         batch = ForestBatch(parent=parent, roots=[0])
         with pytest.raises(GraphError):
             batch.root_of()
-
-    def test_forest_index_bounds(self, karate):
-        batch = sample_forest_batch_vectorized(karate, [0], 2, seed=0)
-        with pytest.raises(InvalidParameterError):
-            batch.forest(2)
 
 
 class TestAccumulatorBatchFold:
@@ -188,8 +211,7 @@ class TestAccumulatorBatchFold:
 
         one_by_one = ForestAccumulator(karate, roots, weights=weights,
                                        tracked_roots=[33], seed=0)
-        for forest in batch:
-            one_by_one.add_forest(forest)
+        scalar_fold(one_by_one, batch)
         batched = ForestAccumulator(karate, roots, weights=weights,
                                     tracked_roots=[33], seed=0)
         batched.add_batch(batch)
@@ -211,11 +233,22 @@ class TestAccumulatorBatchFold:
             accumulator.add_batch(wrong_size)
 
     def test_add_samples_uses_vectorised_chunks(self, karate):
-        accumulator = ForestAccumulator(karate, [0], seed=0)
-        accumulator.add_samples(17)
-        assert accumulator.count == 17
-        estimates = accumulator.diag_estimates()
-        assert np.all(estimates[1:] > 0.0)  # non-root diagonals are positive
+        # A single sample draws through the lockstep kernel like any batch.
+        for count in (17, 1):
+            accumulator = ForestAccumulator(karate, [0], seed=0)
+            tracer = tracing.enable_tracing()
+            try:
+                accumulator.add_samples(count)
+            finally:
+                tracing.disable_tracing()
+            drawn = [s["attrs"]["forests"] for s in tracer.spans()
+                     if s["name"] == "sampling.lockstep"]
+            assert drawn and sum(drawn) == count
+            assert accumulator.count == count
+            estimates = accumulator.diag_estimates()
+            assert np.isfinite(estimates).all() and estimates[0] == 0.0
+            if count > 1:  # averaged non-root diagonals are positive
+                assert np.all(estimates[1:] > 0.0)
 
 
 def _exact_full_absorption(graph, grounded, boundary):
@@ -233,7 +266,9 @@ def _exact_full_absorption(graph, grounded, boundary):
 
 
 class TestDistributionalEquivalence:
-    """Lemma 4.2 chi-square suite: both samplers draw the same distribution."""
+    """Lemma 4.2 chi-square suite: the lockstep sampler (on its default and
+    its wide-index path) and the reference sampler draw the same
+    distribution."""
 
     SAMPLES = 2000
     # Per-node multinomial chi-square against the exact absorption row; the
@@ -241,11 +276,14 @@ class TestDistributionalEquivalence:
     # enough that a biased sampler (e.g. a broken popping schedule) fails.
     QUANTILE = 0.9999
 
-    @pytest.mark.parametrize("method", ["lockstep", "scalar"])
-    def test_root_distribution_chi_square(self, karate, method):
+    @pytest.mark.parametrize("method", ["lockstep", "scalar", "wide"])
+    def test_root_distribution_chi_square(self, karate, method, monkeypatch):
+        if method == "wide":
+            _force_wide_path(monkeypatch, karate)
         roots, exact, interior = _exact_full_absorption(karate, [0], [32, 33])
         empirical = empirical_root_distribution(
-            karate, roots, self.SAMPLES, seed=11, method=method
+            karate, roots, self.SAMPLES, seed=11,
+            method="scalar" if method == "scalar" else "lockstep",
         )
         observed = empirical[interior] * self.SAMPLES
         expected = exact * self.SAMPLES
@@ -297,11 +335,11 @@ class TestDistributionalEquivalence:
 
 
 def _draw(method, graph, roots, count, seed):
-    """``count`` forests from the scalar Wilson loop or the lockstep kernel."""
+    """``count`` forests from the reference Wilson loop or the lockstep kernel."""
     if method == "scalar":
         rng = np.random.default_rng(seed)
         return [sample_rooted_forest(graph, roots, seed=rng) for _ in range(count)]
-    return sample_forest_batch_vectorized(graph, roots, count, seed=seed).forests()
+    return forests_of(sample_forest_batch_vectorized(graph, roots, count, seed=seed))
 
 
 class TestRootedComponentCheck:

@@ -27,6 +27,8 @@ from repro.linalg.updates import (
     grounded_inverse_grow,
 )
 
+from oracles import forests_of
+
 
 def _removable_node(graph: DynamicGraph, avoid=frozenset()) -> int:
     """First active node outside ``avoid`` whose removal keeps connectivity."""
@@ -551,7 +553,7 @@ class TestEngineNodeChurn:
         kept = pool.batch()
         assert set(int(p) for p in kept.parent[:, new_column]) <= attachments
         assert np.all(pool.weights() <= 1.0) and np.any(pool.weights() < 1.0)
-        for forest in kept:
+        for forest in forests_of(kept):
             forest.validate_against(graph.snapshot())
 
     def test_forest_estimate_after_churn(self, small_ba):

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import InvalidParameterError
+from repro.exceptions import GraphError, InvalidParameterError
 from repro.graph import generators
+from repro.graph.traversal import bfs_tree
 from repro.centrality.estimators import (
     ForestAccumulator,
+    PathSystem,
     SamplingConfig,
     estimate_first_pick,
     estimate_forest_delta,
@@ -69,6 +71,31 @@ class TestRademacherWeights:
         assert np.all(weights[:, 3] == 0) and np.all(weights[:, 7] == 0)
         nonzero = weights[:, [c for c in range(20) if c not in (3, 7)]]
         assert np.allclose(np.abs(nonzero), 1.0 / np.sqrt(8))
+
+
+class TestPathSystem:
+    def test_levels_and_intervals_of_a_bfs_tree(self, karate):
+        tree = bfs_tree(karate, [0, 33])
+        path = PathSystem(tree.parent, [0, 33])
+        levels = path.levels()
+        assert len(levels) == tree.max_depth + 1
+        for depth, nodes in enumerate(levels):
+            assert nodes.tolist() == np.flatnonzero(tree.depth == depth).tolist()
+        # Every node's interval nests inside its path parent's.
+        for u in path.nonroot:
+            p = path.parent[u]
+            assert path.tin[p] < path.tin[u] <= path.tout[u] < path.tout[p]
+
+    @pytest.mark.parametrize("parent", [
+        [-1, 0, 3, 2],   # 2 <-> 3 is a cycle: no path reaches the root
+        [-1, 0, -1, 2],  # non-root 2 has no next hop
+        [-1, 0, 7, 2],   # next hop outside the node range
+        [-1, 0, -3, 2],  # negative next hop other than -1
+        [1, 0, 1, 2],    # the root has a next hop
+    ])
+    def test_malformed_parents_raise_graph_error(self, parent):
+        with pytest.raises(GraphError):
+            PathSystem(np.array(parent), [0])
 
 
 class TestForestAccumulator:

@@ -1,11 +1,12 @@
-"""Tests for the rooted spanning-forest data structure."""
+"""Tests for the reference single-forest structure in ``tests/oracles.py``."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import GraphError
-from repro.sampling.forest import Forest
+
+from oracles import Forest
 
 
 @pytest.fixture

@@ -17,7 +17,8 @@ import pytest
 import repro
 from repro.centrality.estimators import SamplingConfig
 from repro.graph import generators
-from repro.sampling.wilson import expected_sampling_cost
+
+from oracles import expected_sampling_cost
 
 
 @pytest.fixture(scope="module")

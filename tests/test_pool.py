@@ -27,6 +27,8 @@ from repro.sampling import WeightedForestPool
 from repro.sampling.batch import ForestBatch, sample_forest_batch_vectorized
 from repro.sampling.pool import edge_inclusion_prior, node_internal_prior
 
+from oracles import forests_of, scalar_fold
+
 
 def _complete_graph(n: int) -> Graph:
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
@@ -46,8 +48,8 @@ class TestForestBatchHelpers:
     def test_uses_edge_matches_per_forest_check(self, karate):
         batch = sample_forest_batch_vectorized(karate, [0, 33], 24, seed=3)
         mask = batch.uses_edge(2, 3)
-        for row, forest in enumerate(batch):
-            expected = forest.parent[2] == 3 or forest.parent[3] == 2
+        for row, parent in enumerate(batch.parent):
+            expected = parent[2] == 3 or parent[3] == 2
             assert bool(mask[row]) == bool(expected)
         with pytest.raises(InvalidParameterError):
             batch.uses_edge(0, karate.n)
@@ -119,7 +121,7 @@ class TestWeightedForestPool:
         # Only ForestBatch input is admitted: a list of forests is refused.
         extra = sample_forest_batch_vectorized(karate, [0], 2, seed=9)
         with pytest.raises(InvalidParameterError):
-            pool.admit(extra.forests())
+            pool.admit(forests_of(extra))
         assert pool.admit(extra) == 2
         assert pool.size == 4  # eviction respected capacity
 
@@ -281,7 +283,7 @@ class TestDistributionalCorrectness:
                          for c in counts.values())
         assert chi_square < 20.5  # chi2(5 dof) at p ~ 0.001
         grown = Graph(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
-        pool.batch().forest(0).validate_against(grown)
+        forests_of(pool.batch())[0].validate_against(grown)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +301,7 @@ class TestWeightedBatchedFold:
 
         scalar = ForestAccumulator(graph, roots, weights=jl,
                                    tracked_roots=[roots[1]], seed=0)
-        scalar.add_batch(batch, weights=forest_weights, method="scalar")
+        scalar_fold(scalar, batch, weights=forest_weights)
         batched = ForestAccumulator(graph, roots, weights=jl,
                                     tracked_roots=[roots[1]], seed=0)
         batched.add_batch(batch, weights=forest_weights)
@@ -318,9 +320,9 @@ class TestWeightedBatchedFold:
         doubled = ForestAccumulator(karate, [0], seed=0)
         doubled.add_batch(batch, weights=np.array([2.0, 2.0, 2.0]))
         repeated = ForestAccumulator(karate, [0], seed=0)
-        for forest in batch:
-            repeated.add_forest(forest)
-            repeated.add_forest(forest)
+        for index in range(batch.batch_size):
+            repeated.add_batch(batch.select([index]))
+            repeated.add_batch(batch.select([index]))
         assert doubled.count == pytest.approx(repeated.count)
         np.testing.assert_allclose(doubled.diag_sum, repeated.diag_sum,
                                    atol=1e-9)
@@ -335,7 +337,7 @@ class TestWeightedBatchedFold:
         with pytest.raises(InvalidParameterError):
             accumulator.add_batch(batch, weights=np.array([1.0, -1.0, 1.0]))
         with pytest.raises(InvalidParameterError):
-            accumulator.add_batch(batch, method="quantum")
+            accumulator.add_batch(batch, weights=np.array([1.0, np.nan, 1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -585,8 +587,8 @@ class TestSamplerContract:
         engine = DynamicCFCM(DynamicGraph(karate), seed=0, pool_size=4)
 
         def listing(snapshot, roots, count, seed):
-            return sample_forest_batch_vectorized(snapshot, roots, count,
-                                                  seed=seed).forests()
+            return forests_of(sample_forest_batch_vectorized(snapshot, roots, count,
+                                                             seed=seed))
 
         def short(snapshot, roots, count, seed):
             return sample_forest_batch_vectorized(snapshot, roots, count - 1,

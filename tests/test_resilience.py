@@ -9,6 +9,7 @@ import pytest
 from repro.dynamic import DynamicCFCM, DynamicGraph, IncrementalResistance
 from repro.exceptions import (
     ConvergenceError,
+    GraphError,
     InjectedFaultError,
     InvalidParameterError,
     NumericalDriftError,
@@ -431,6 +432,28 @@ class TestCheckpointRecovery:
         restored = DynamicCFCM.restore(path)
         restored.graph.add_edge(u, v)
         assert restored.evaluate_exact(GROUP) == live
+
+    @pytest.mark.parametrize("tamper", ["path_cycle", "path_orphan",
+                                        "pool_out_of_range"])
+    def test_tampered_parent_arrays_raise_graph_error(self, tmp_path, tamper):
+        graph = DynamicGraph(generators.barabasi_albert(30, 2, seed=15))
+        engine = DynamicCFCM(graph, seed=2, pool_size=6)
+        engine.evaluate_forest(GROUP)
+        source = tmp_path / "engine.npz"
+        engine.checkpoint(str(source))
+        with np.load(source, allow_pickle=False) as data:
+            arrays = {key: data[key].copy() for key in data.files}
+        u, v = [x for x in range(graph.n) if x not in GROUP][:2]
+        if tamper == "path_cycle":
+            arrays["path0_parent"][[u, v]] = [v, u]
+        elif tamper == "path_orphan":
+            arrays["path0_parent"][u] = -1
+        else:
+            arrays["pool0_parent"][0, u] = graph.n + 5
+        tampered = tmp_path / "tampered.npz"
+        np.savez_compressed(tampered, **arrays)
+        with pytest.raises(GraphError):
+            DynamicCFCM.restore(str(tampered))
 
     def test_checkpoint_write_is_atomic(self, tmp_path):
         graph = DynamicGraph(generators.barabasi_albert(20, 2, seed=13))

@@ -18,6 +18,8 @@ from repro.centrality.heuristics import degree_group
 from repro.centrality.marginal import marginal_gains_all
 from repro.sampling.batch import sample_forest_batch_vectorized
 
+from oracles import forests_of
+
 
 class TestEvaluationMetrics:
     def test_relative_difference(self):
@@ -88,7 +90,7 @@ class TestParallelSampling:
     def test_sequential_batch_valid(self, karate):
         batch = sample_forest_batch_vectorized(karate, [0, 33], 6, seed=0)
         assert batch.batch_size == 6
-        for forest in batch.forests():
+        for forest in forests_of(batch):
             forest.validate_against(karate)
 
     def test_empty_batch(self, karate):

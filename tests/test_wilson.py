@@ -1,4 +1,9 @@
-"""Tests for Wilson's rooted spanning-forest sampler."""
+"""Tests for the reference Wilson sampler and its Lemma 4.2 / 3.7 oracles.
+
+The library draws forests with the lockstep kernel only; the random-walk
+sampler kept in ``tests/oracles.py`` is the reference the chi-square suites
+compare it with, so its own validity and distribution are pinned here.
+"""
 
 import numpy as np
 import pytest
@@ -8,7 +13,8 @@ from repro.exceptions import DisconnectedGraphError, InvalidParameterError
 from repro.graph import generators
 from repro.graph.graph import Graph
 from repro.linalg.schur import absorption_probabilities
-from repro.sampling.wilson import (
+
+from oracles import (
     empirical_root_distribution,
     expected_sampling_cost,
     sample_rooted_forest,
