@@ -7,7 +7,9 @@ These micro-benchmarks expose where the time goes:
   SchurCFCM's speed advantage (Lemma 3.7);
 * the per-sample estimator processing (subtree sums + BFS prefix sums);
 * the Laplacian solver substrate used by the ApproxGreedy baseline;
-* exact Schur-complement assembly versus its sampled counterpart.
+* exact Schur-complement assembly versus its sampled counterpart;
+* the dynamic graph's writer-side costs: one ``snapshot()`` rebuild after a
+  mutation and one connectivity-guarded edge deletion.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.centrality.estimators import ForestAccumulator, rademacher_weights
+from repro.dynamic import DynamicGraph
 from repro.linalg.laplacian import grounded_laplacian
 from repro.linalg.schur import grounded_inverse_block
 from repro.linalg.solvers import LaplacianSolver, SolverMethod
@@ -97,3 +100,38 @@ class TestSchurAssembly:
     def test_exact_block_decomposition(self, benchmark, smallworld_graph):
         hubs = [int(v) for v in np.argsort(-smallworld_graph.degrees)[:6]]
         benchmark(lambda: grounded_inverse_block(smallworld_graph, [hubs[0]], hubs[1:]))
+
+
+def _absent_pair(graph):
+    """First node pair of ``graph`` with no edge between them."""
+    hub = int(np.argmax(graph.degrees))
+    missing = np.setdiff1d(np.arange(graph.n), graph.neighbors(hub))
+    return hub, int(missing[missing != hub][0])
+
+
+@pytest.mark.benchmark(group="component-graph")
+class TestDynamicGraphWriter:
+    def test_snapshot_after_one_mutation(self, benchmark, sparse_graph):
+        graph = DynamicGraph(sparse_graph)
+        u, v = _absent_pair(sparse_graph)
+
+        def toggle():
+            if graph.has_edge(u, v):
+                graph.remove_edge(u, v)
+            else:
+                graph.add_edge(u, v)
+
+        snapshot = benchmark.pedantic(graph.snapshot, setup=toggle,
+                                      rounds=30, iterations=1)
+        assert snapshot.m in (sparse_graph.m, sparse_graph.m + 1)
+
+    def test_guarded_remove_edge(self, benchmark, sparse_graph):
+        graph = DynamicGraph(sparse_graph)
+        u, v = _absent_pair(sparse_graph)
+
+        def insert():
+            graph.add_edge(u, v)
+
+        benchmark.pedantic(graph.remove_edge, args=(u, v), setup=insert,
+                           rounds=30, iterations=1)
+        assert not graph.has_edge(u, v)

@@ -24,23 +24,8 @@ import argparse
 import numpy as np
 
 import repro
+from repro.centrality.absorbing import simulate_hitting_time
 from repro.graph import generators
-
-
-def mean_hitting_time(graph, targets, walks: int = 300, seed: int = 0) -> float:
-    """Empirical mean number of hops for a random walk to reach ``targets``."""
-    rng = np.random.default_rng(seed)
-    target_set = set(int(t) for t in targets)
-    indptr, adjacency, degrees = graph.adjacency_lists()
-    totals = 0.0
-    for _ in range(walks):
-        node = int(rng.integers(0, graph.n))
-        hops = 0
-        while node not in target_set and hops < 20 * graph.n:
-            node = adjacency[indptr[node] + int(rng.integers(0, degrees[node]))]
-            hops += 1
-        totals += hops
-    return totals / walks
 
 
 def main() -> None:
@@ -69,7 +54,8 @@ def main() -> None:
     print(f"{'strategy':<12} {'group CFCC':>11} {'mean hops to replica':>22}")
     for label, replicas in strategies.items():
         value = repro.group_cfcc(graph, replicas)
-        hops = mean_hitting_time(graph, replicas, seed=args.seed)
+        hops = simulate_hitting_time(graph, replicas, walks=300, seed=args.seed,
+                                     max_steps_factor=20)
         print(f"{label:<12} {value:>11.4f} {hops:>22.2f}")
     print("\nHigher CFCC should coincide with fewer hops for search walks —")
     print("the connection between CFCC and random-walk accessibility that")

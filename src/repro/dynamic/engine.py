@@ -64,7 +64,7 @@ from repro.centrality.result import CFCMResult
 from repro.dynamic.graph import ADD, ADD_NODE, REMOVE, REMOVE_NODE, DynamicGraph
 from repro.dynamic.resistance import IncrementalResistance
 from repro.graph.graph import Graph
-from repro.sampling.batch import ForestBatch, sample_forest_batch_vectorized
+from repro.sampling.batch import sample_forest_batch_vectorized
 from repro.sampling.pool import (
     WeightedForestPool,
     edge_inclusion_prior,
@@ -438,19 +438,15 @@ class DynamicCFCM:
         """
         return dict(self._pooled_read(group, "forest_delta", self._fold_gains))
 
-    def refill_pool(self, group: Sequence[int], sampler=None) -> int:
+    def refill_pool(self, group: Sequence[int]) -> int:
         """Top the forest pool of ``group`` up; returns the number drawn.
 
         The sampling half of :meth:`evaluate_forest`, exposed so a front end
-        can refresh pools ahead of query traffic (prefetching).  ``sampler``
-        optionally overrides how the missing forests are drawn: a callable
-        ``sampler(snapshot, compact_roots, count, seed)`` returning that many
-        forests as one :class:`~repro.sampling.batch.ForestBatch` — the
-        asyncio service passes its worker pool's lockstep sampler here.
+        can refresh pools ahead of query traffic (prefetching).
         """
         roots = self._pool_roots(group)
         self._sync_pools()
-        pool, _, drawn = self._topped_up_pool(roots, sampler)
+        pool, _, drawn = self._topped_up_pool(roots)
         self._record_pool_health(roots, pool)
         return drawn
 
@@ -601,7 +597,7 @@ class DynamicCFCM:
             gains[int(mapping[u])] = float(numerators[u]) / denominator
         return gains
 
-    def _topped_up_pool(self, roots: Tuple[int, ...], sampler=None
+    def _topped_up_pool(self, roots: Tuple[int, ...]
                         ) -> Tuple[WeightedForestPool, int, int]:
         """The pool for ``roots`` after its top-up, with the number of
         forests it kept from before and the number it drew.
@@ -629,24 +625,9 @@ class DynamicCFCM:
             self.stats.ess_topups += 1
         snapshot = self.graph.snapshot()
         with trace("pool.topup", missing=missing):
-            if sampler is None:
-                fresh = sample_forest_batch_vectorized(
-                    snapshot, compact_roots, missing, seed=self.rng
-                )
-            else:
-                child_seed = int(self.rng.integers(0, 2**62))
-                fresh = sampler(snapshot, compact_roots, missing, child_seed)
-                if not isinstance(fresh, ForestBatch):
-                    raise InvalidParameterError(
-                        f"sampler must return a ForestBatch, got "
-                        f"{type(fresh).__name__}"
-                    )
-            if fresh.batch_size != missing:
-                raise InvalidParameterError(
-                    f"sampler returned {fresh.batch_size} forests, "
-                    f"expected {missing}"
-                )
-            pool.admit(fresh)
+            pool.admit(sample_forest_batch_vectorized(
+                snapshot, compact_roots, missing, seed=self.rng
+            ))
         _TOPUP_FORESTS.observe(missing)
         self.stats.forests_resampled += missing
         return pool, kept, missing

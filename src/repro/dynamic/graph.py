@@ -25,16 +25,20 @@ worlds:
 * **connectivity guards**: CFCC is only defined on connected graphs, so edge
   and node removals that would disconnect the graph are rejected up front
   with :class:`repro.exceptions.DisconnectedGraphError` instead of surfacing
-  as singular matrices deep inside a solver.
+  as singular matrices deep inside a solver.  Each guard is one SciPy
+  components pass over the cached per-version edge arrays that the snapshot
+  and the Laplacian assemblies also read.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from repro.exceptions import (
     DisconnectedGraphError,
@@ -130,35 +134,53 @@ class DynamicGraph:
 
     def __init__(self, graph: Graph, weights: Optional[Dict[Tuple[int, int], float]] = None):
         require_connected(graph)
-        self._weights: Dict[Tuple[int, int], float] = {
-            (int(u), int(v)): 1.0 for u, v in zip(graph.edge_u, graph.edge_v)
-        }
-        # _adjacency is indexed by stable id and grows with add_node; removed
-        # slots are tombstoned with None so live ids never shift.
-        self._adjacency: List[Optional[Set[int]]] = [set() for _ in range(graph.n)]
-        self._active_count = graph.n
-        for u, v in self._weights:
-            self._adjacency[u].add(v)
-            self._adjacency[v].add(u)
+        self._reset(
+            {(int(u), int(v)): 1.0 for u, v in zip(graph.edge_u, graph.edge_v)},
+            np.ones(graph.n, dtype=bool),
+        )
         if weights:
             for key, value in weights.items():
                 u, v = self._key(*key)
                 if (u, v) not in self._weights:
                     raise GraphError(f"initial weight given for missing edge ({u}, {v})")
                 self._weights[(u, v)] = check_positive(f"weight of ({u}, {v})", value)
-
-        self._journal: List[GraphUpdate] = []
-        self._journal_floor = 0
-        self._version = 0
-        self._node_version = 0
-        self._snapshot: Optional[Graph] = graph
+            self._non_unit_count = sum(1 for w in self._weights.values() if w != 1.0)
+        self._snapshot = graph
         self._snapshot_version = 0
-        self._mapping: Optional[np.ndarray] = np.arange(graph.n, dtype=np.int64)
-        self._mapping.flags.writeable = False
-        self._mapping_node_version = 0
+
+    def _reset(self, weights: Dict[Tuple[int, int], float], active: np.ndarray,
+               journal: Iterable[GraphUpdate] = (), journal_floor: int = 0,
+               version: int = 0, node_version: int = 0) -> None:
+        """Set the whole state from its parts and drop every derived cache.
+
+        ``weights`` maps ``(u, v)`` with ``u < v`` to the edge weight; its
+        insertion order is the order the Laplacian assemblies sum edges in,
+        so it is kept as given.  ``active[i]`` says whether stable id ``i``
+        is live.
+        """
+        self._weights = weights
+        # _adjacency is indexed by stable id and grows with add_node; removed
+        # slots are tombstoned with None so live ids never shift.
+        self._adjacency: List[Optional[Set[int]]] = [
+            set() if flag else None for flag in active
+        ]
+        for u, v in weights:
+            self._adjacency[u].add(v)
+            self._adjacency[v].add(u)
+        self._active_count = int(np.count_nonzero(active))
         # Count of edges with weight != 1, so is_unit_weighted is O(1) on the
         # engine's per-query fast path instead of an O(m) scan.
-        self._non_unit_count = sum(1 for w in self._weights.values() if w != 1.0)
+        self._non_unit_count = sum(1 for w in weights.values() if w != 1.0)
+        self._journal: List[GraphUpdate] = list(journal)
+        self._journal_floor = int(journal_floor)
+        self._version = int(version)
+        self._node_version = int(node_version)
+        self._snapshot: Optional[Graph] = None
+        self._snapshot_version = -1
+        self._mapping: Optional[np.ndarray] = None
+        self._mapping_node_version = -1
+        self._edges: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        self._edges_version = -1
 
     # ------------------------------------------------------------------ basic
     @property
@@ -414,15 +436,8 @@ class DynamicGraph:
         translates snapshot ids back to stable ids.
         """
         if self._snapshot is None or self._snapshot_version != self._version:
-            mapping = self.snapshot_mapping()
-            if mapping.size and int(mapping[-1]) == mapping.size - 1:
-                edges: Iterable[Tuple[int, int]] = list(self._weights)
-            else:
-                compact = np.full(len(self._adjacency), -1, dtype=np.int64)
-                compact[mapping] = np.arange(mapping.size)
-                edges = [(int(compact[u]), int(compact[v]))
-                         for u, v in self._weights]
-            self._snapshot = Graph(self._active_count, edges)
+            u, v, _ = self._edge_view()
+            self._snapshot = Graph(self._active_count, np.stack([u, v], axis=1))
             self._snapshot_version = self._version
         return self._snapshot
 
@@ -462,20 +477,7 @@ class DynamicGraph:
         """
         n = self._active_count
         matrix = np.zeros((n, n), dtype=np.float64)
-        if not self._weights:
-            return matrix
-        keys = np.fromiter(
-            (x for key in self._weights for x in key),
-            dtype=np.int64, count=2 * len(self._weights),
-        ).reshape(-1, 2)
-        weights = np.fromiter(self._weights.values(), dtype=np.float64,
-                              count=len(self._weights))
-        mapping = self.snapshot_mapping()
-        if int(mapping[-1]) == n - 1:
-            u, v = keys[:, 0], keys[:, 1]
-        else:
-            u = np.searchsorted(mapping, keys[:, 0])
-            v = np.searchsorted(mapping, keys[:, 1])
+        u, v, weights = self._edge_view()
         np.add.at(matrix, (u, u), weights)
         np.add.at(matrix, (v, v), weights)
         np.add.at(matrix, (u, v), -weights)
@@ -491,20 +493,7 @@ class DynamicGraph:
         graphs where the dense form no longer fits the n² budget.
         """
         n = self._active_count
-        if not self._weights:
-            return sp.csr_matrix((n, n), dtype=np.float64)
-        keys = np.fromiter(
-            (x for key in self._weights for x in key),
-            dtype=np.int64, count=2 * len(self._weights),
-        ).reshape(-1, 2)
-        weights = np.fromiter(self._weights.values(), dtype=np.float64,
-                              count=len(self._weights))
-        mapping = self.snapshot_mapping()
-        if int(mapping[-1]) == n - 1:
-            u, v = keys[:, 0], keys[:, 1]
-        else:
-            u = np.searchsorted(mapping, keys[:, 0])
-            v = np.searchsorted(mapping, keys[:, 1])
+        u, v, weights = self._edge_view()
         data = np.concatenate([weights, weights, -weights, -weights])
         rows = np.concatenate([u, v, u, v])
         cols = np.concatenate([u, v, v, u])
@@ -567,34 +556,58 @@ class DynamicGraph:
         self._journal.append(event)
         return event
 
-    def _reachable_count(self, start: int, skip_edge: Optional[Tuple[int, int]] = None,
+    def _edge_view(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(u, v, w)`` arrays of the current edges, cached per version.
+
+        Endpoints are snapshot (compact) ids with ``u < v``; rows follow the
+        weight map's insertion order, which is the order the Laplacian
+        assemblies sum in, so it is bit-significant.
+        """
+        if self._edges is None or self._edges_version != self._version:
+            m = len(self._weights)
+            keys = np.fromiter(
+                itertools.chain.from_iterable(self._weights),
+                dtype=np.int64, count=2 * m,
+            ).reshape(m, 2)
+            weights = np.fromiter(self._weights.values(), dtype=np.float64,
+                                  count=m)
+            mapping = self.snapshot_mapping()
+            if int(mapping[-1]) != mapping.size - 1:
+                keys = np.searchsorted(mapping, keys)
+            keys.flags.writeable = False
+            weights.flags.writeable = False
+            self._edges = (keys[:, 0], keys[:, 1], weights)
+            self._edges_version = self._version
+        return self._edges
+
+    def _component_count(self, skip_edge: Optional[Tuple[int, int]] = None,
                          skip_node: Optional[int] = None) -> int:
-        """Nodes reachable from ``start``, optionally masking an edge or node."""
-        seen: Set[int] = {start}
-        frontier = [start]
-        while frontier:
-            current = frontier.pop()
-            for neighbour in self._adjacency[current]:
-                if neighbour == skip_node:
-                    continue
-                if skip_edge is not None and {current, neighbour} == set(skip_edge):
-                    continue
-                if neighbour not in seen:
-                    seen.add(neighbour)
-                    frontier.append(neighbour)
-        return len(seen)
+        """Connected components of the current graph with edge ``skip_edge``
+        or every edge of ``skip_node`` masked out (one SciPy pass)."""
+        u, v, _ = self._edge_view()
+        mapping = self.snapshot_mapping()
+        if skip_edge is not None:
+            a, b = np.searchsorted(mapping, skip_edge)
+            keep = (u != a) | (v != b)
+        else:
+            c = np.searchsorted(mapping, skip_node)
+            keep = (u != c) & (v != c)
+        n = self._active_count
+        matrix = sp.csr_matrix(
+            (np.ones(int(np.count_nonzero(keep))), (u[keep], v[keep])),
+            shape=(n, n),
+        )
+        count, _ = csgraph.connected_components(matrix, directed=False)
+        return int(count)
 
     def _would_disconnect(self, key: Tuple[int, int]) -> bool:
-        """BFS over the current adjacency with edge ``key`` masked out."""
+        """Whether deleting edge ``key`` splits the graph."""
         u, v = key
         if len(self._adjacency[u]) == 1 or len(self._adjacency[v]) == 1:
             return True
-        return self._reachable_count(u, skip_edge=key) != self._active_count
+        return self._component_count(skip_edge=key) != 1
 
     def _node_removal_disconnects(self, node: int) -> bool:
-        """BFS over the current adjacency with ``node`` masked out."""
-        neighbours = self._adjacency[node]
-        if not neighbours:
-            return False
-        start = next(iter(neighbours))
-        return self._reachable_count(start, skip_node=node) != self._active_count - 1
+        """Whether deleting ``node`` splits the rest of the graph (the masked
+        node itself is left as one isolated component)."""
+        return self._component_count(skip_node=node) != 2

@@ -19,7 +19,11 @@ import numpy as np
 
 from repro.exceptions import InvalidParameterError
 from repro.graph.graph import Graph
-from repro.graph.traversal import is_connected, largest_connected_component
+from repro.graph.traversal import (
+    connected_components,
+    is_connected,
+    largest_connected_component,
+)
 from repro.utils.rng import RandomState, as_rng
 from repro.utils.validation import check_integer, check_probability
 
@@ -112,7 +116,7 @@ def erdos_renyi(n: int, p: float, seed: RandomState = None,
     rng = as_rng(seed)
     rows, cols = np.triu_indices(n, k=1)
     mask = rng.random(rows.size) < p
-    graph = Graph(n, list(zip(rows[mask].tolist(), cols[mask].tolist())))
+    graph = Graph(n, np.stack([rows[mask], cols[mask]], axis=1))
     if ensure_connected and not is_connected(graph):
         graph, _ = largest_connected_component(graph)
     return graph
@@ -342,8 +346,6 @@ def planted_partition(n: int, communities: int, p_in: float, p_out: float,
     if ensure_connected and not is_connected(graph):
         # Stitch the components together with uniformly drawn bridges in a
         # random spanning order (cheap, preserves the planted structure).
-        from repro.graph.traversal import connected_components
-
         components = connected_components(graph)
         order = list(range(len(components)))
         rng.shuffle(order)
@@ -393,7 +395,7 @@ def random_geometric(n: int, radius: float, seed: RandomState = None) -> Graph:
     diff = points[:, None, :] - points[None, :, :]
     dist2 = np.sum(diff * diff, axis=2)
     rows, cols = np.nonzero(np.triu(dist2 <= radius * radius, k=1))
-    graph = Graph(n, list(zip(rows.tolist(), cols.tolist())))
+    graph = Graph(n, np.stack([rows, cols], axis=1))
     if not is_connected(graph):
         graph, _ = largest_connected_component(graph)
     return graph

@@ -3,9 +3,9 @@
 The whole library operates on :class:`Graph`, a compact CSR (compressed sparse
 row) representation of a simple undirected graph with nodes labelled
 ``0 .. n - 1``.  The representation stores every edge twice (once per
-direction); the position of a neighbour inside the flat adjacency array is the
-*directed edge index*, which the spanning-forest samplers use to attribute
-counters to directed edges in O(1).
+direction), with each node's neighbours in ascending order; the forest
+samplers pick a neighbour by its position in that slice, so the order is part
+of what makes a seeded draw reproducible.
 
 Design notes
 ------------
@@ -39,8 +39,9 @@ class Graph:
     n:
         Number of nodes.  Nodes are the integers ``0 .. n - 1``.
     edges:
-        Iterable of ``(u, v)`` pairs with ``u != v``.  Each undirected edge
-        must appear exactly once (in either orientation).
+        Iterable of ``(u, v)`` pairs with ``u != v``, or an ``(m, 2)``
+        integer array.  Each undirected edge must appear exactly once (in
+        either orientation).
 
     Attributes
     ----------
@@ -63,8 +64,6 @@ class Graph:
         "degrees",
         "edge_u",
         "edge_v",
-        "_reverse_position",
-        "_position_edge_id",
         "_py_indptr",
         "_py_adjacency",
         "_py_degrees",
@@ -76,7 +75,9 @@ class Graph:
             raise GraphError(f"graph must have at least one node, got n={n}")
         self._n = int(n)
 
-        edge_array = np.asarray(list(edges), dtype=np.int64)
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        edge_array = np.asarray(edges, dtype=np.int64)
         if edge_array.size == 0:
             edge_array = edge_array.reshape(0, 2)
         if edge_array.ndim != 2 or edge_array.shape[1] != 2:
@@ -88,7 +89,8 @@ class Graph:
 
         lo = np.minimum(edge_array[:, 0], edge_array[:, 1])
         hi = np.maximum(edge_array[:, 0], edge_array[:, 1])
-        order = np.lexsort((hi, lo))
+        # Sorting on the single key lo * n + hi orders edges by (lo, hi).
+        order = np.argsort(lo * n + hi)
         lo, hi = lo[order], hi[order]
         if lo.size:
             duplicate = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
@@ -101,46 +103,17 @@ class Graph:
         self.edge_v = hi
         self._m = int(lo.size)
 
-        # Build CSR by counting degrees then filling neighbour slots.
-        degrees = np.zeros(n, dtype=np.int64)
-        np.add.at(degrees, lo, 1)
-        np.add.at(degrees, hi, 1)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degrees, out=indptr[1:])
-        adjacency = np.empty(2 * self._m, dtype=np.int64)
-        position_edge_id = np.empty(2 * self._m, dtype=np.int64)
-        cursor = indptr[:-1].copy()
-        for eid in range(self._m):
-            u, v = int(lo[eid]), int(hi[eid])
-            adjacency[cursor[u]] = v
-            position_edge_id[cursor[u]] = eid
-            cursor[u] += 1
-            adjacency[cursor[v]] = u
-            position_edge_id[cursor[v]] = eid
-            cursor[v] += 1
-
-        self.indptr = indptr
-        self.adjacency = adjacency
-        self.degrees = degrees
-        self._position_edge_id = position_edge_id
+        # CSR over both directions of every edge, neighbours ascending.
+        tails = np.concatenate([lo, hi])
+        heads = np.concatenate([hi, lo])
+        self.adjacency = heads[np.argsort(tails * n + heads)]
+        self.degrees = np.bincount(tails, minlength=n).astype(np.int64, copy=False)
+        self.indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(self.degrees, out=self.indptr[1:])
         self._py_indptr = None
         self._py_adjacency = None
         self._py_degrees = None
         self._component_labels = None
-
-        # Reverse-position map: for position p storing directed edge (u -> v),
-        # _reverse_position[p] is the position storing (v -> u).
-        reverse = np.full(2 * self._m, -1, dtype=np.int64)
-        first_position = np.full(self._m, -1, dtype=np.int64)
-        for p in range(2 * self._m):
-            eid = position_edge_id[p]
-            if first_position[eid] < 0:
-                first_position[eid] = p
-            else:
-                q = first_position[eid]
-                reverse[p] = q
-                reverse[q] = p
-        self._reverse_position = reverse
 
     # ------------------------------------------------------------------ basic
     @property
@@ -209,11 +182,6 @@ class Graph:
         self._check_node(node)
         return self.adjacency[self.indptr[node]:self.indptr[node + 1]]
 
-    def neighbor_positions(self, node: int) -> np.ndarray:
-        """Directed-edge positions of ``node``'s outgoing slots."""
-        self._check_node(node)
-        return np.arange(self.indptr[node], self.indptr[node + 1], dtype=np.int64)
-
     def has_edge(self, u: int, v: int) -> bool:
         """Whether the undirected edge ``(u, v)`` exists."""
         self._check_node(u)
@@ -223,18 +191,6 @@ class Graph:
         if self.degrees[u] > self.degrees[v]:
             u, v = v, u
         return bool(np.any(self.neighbors(u) == v))
-
-    def position_head(self, position: int) -> int:
-        """Head (target) node of the directed slot ``position``."""
-        return int(self.adjacency[position])
-
-    def reverse_position(self, position: int) -> int:
-        """Position of the opposite direction of the directed slot ``position``."""
-        return int(self._reverse_position[position])
-
-    def position_edge_id(self, position: int) -> int:
-        """Undirected edge id stored at directed slot ``position``."""
-        return int(self._position_edge_id[position])
 
     def adjacency_lists(self) -> Tuple[list, list, list]:
         """CSR arrays as cached plain Python lists ``(indptr, adjacency, degrees)``.
@@ -293,9 +249,9 @@ class Graph:
         relabel = -np.ones(self._n, dtype=np.int64)
         relabel[keep] = np.arange(keep.size)
         mask = (relabel[self.edge_u] >= 0) & (relabel[self.edge_v] >= 0)
-        edges = zip(relabel[self.edge_u[mask]], relabel[self.edge_v[mask]])
-        sub = Graph(max(int(keep.size), 1), [(int(a), int(b)) for a, b in edges])
-        return sub, keep
+        edges = np.stack([relabel[self.edge_u[mask]], relabel[self.edge_v[mask]]],
+                         axis=1)
+        return Graph(max(int(keep.size), 1), edges), keep
 
     # ------------------------------------------------------------- internals
     def _check_node(self, node: int) -> None:

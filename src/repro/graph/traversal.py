@@ -1,5 +1,9 @@
 """Graph traversal primitives: BFS orders/trees, components, diameters.
 
+Connectivity questions are answered from :meth:`Graph.component_labels`
+(one SciPy components pass per graph, cached); only the BFS tree, whose
+tie-breaking by node id the path systems depend on, walks the graph here.
+
 The CFCM algorithms need a BFS tree rooted at the current root set ``S`` (or
 ``S ∪ T``): the unbiased voltage estimators of the paper are sums of edge
 currents along a *fixed* path from each node to the root set, and the BFS tree
@@ -98,27 +102,22 @@ def bfs_order(graph: Graph, roots: Sequence[int]) -> np.ndarray:
 
 
 def connected_components(graph: Graph) -> List[np.ndarray]:
-    """Connected components as arrays of node ids, largest first."""
-    seen = np.zeros(graph.n, dtype=bool)
-    components: List[np.ndarray] = []
-    for start in range(graph.n):
-        if seen[start]:
-            continue
-        tree = bfs_tree(graph, [start])
-        members = tree.order[tree.depth[tree.order] >= 0]
-        members = np.asarray(sorted(int(v) for v in members), dtype=np.int64)
-        seen[members] = True
-        components.append(members)
-    components.sort(key=lambda arr: (-arr.size, int(arr[0]) if arr.size else 0))
+    """Connected components as sorted arrays of node ids, largest first.
+
+    Ties in size are broken by the smallest member.  Read off the cached
+    :meth:`Graph.component_labels`, so no traversal runs here.
+    """
+    labels = graph.component_labels()
+    members = np.argsort(labels, kind="stable")
+    sizes = np.bincount(labels)
+    components = np.split(members, np.cumsum(sizes)[:-1])
+    components.sort(key=lambda arr: (-arr.size, int(arr[0])))
     return components
 
 
 def is_connected(graph: Graph) -> bool:
     """Whether the graph is connected."""
-    if graph.n <= 1:
-        return True
-    tree = bfs_tree(graph, [0])
-    return bool(np.all(tree.depth >= 0))
+    return bool(np.all(graph.component_labels() == 0))
 
 
 def require_connected(graph: Graph) -> None:

@@ -10,7 +10,6 @@ from repro.linalg.laplacian import (
 from repro.linalg.pseudoinverse import laplacian_pseudoinverse, pseudoinverse_diagonal
 from repro.linalg.solvers import (
     LaplacianSolver,
-    PreconditionerCache,
     SolverMethod,
     build_preconditioner,
     estimate_trace_of_inverse,
@@ -52,7 +51,6 @@ __all__ = [
     "laplacian_pseudoinverse",
     "pseudoinverse_diagonal",
     "LaplacianSolver",
-    "PreconditionerCache",
     "SolverMethod",
     "build_preconditioner",
     "estimate_trace_of_inverse",

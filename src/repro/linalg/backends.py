@@ -50,7 +50,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro.exceptions import InvalidParameterError
-from repro.linalg.solvers import LaplacianSolver, PreconditionerCache, SolverMethod
+from repro.linalg.solvers import LaplacianSolver, SolverMethod
 from repro.linalg.updates import (
     grounded_inverse_block_update,
     grounded_inverse_downdate,
@@ -395,7 +395,6 @@ class SparseResistanceBackend(ResistanceBackend):
         self.rtol = float(rtol)
         self.maxiter = maxiter
         self.seed = int(seed)
-        self._pc_cache = PreconditionerCache(kind="jacobi")
         self._factor_count = 0
         self._solver_used = "none"
         self._lu = None
@@ -448,12 +447,11 @@ class SparseResistanceBackend(ResistanceBackend):
                         f"sparse LU factorisation failed: {exc}"
                     ) from exc
         if self._lu is None:
-            # CG fallback: the Jacobi preconditioner is built once per
-            # factorisation and shared by every solve against it.
+            # CG fallback: the solver builds its Jacobi preconditioner once
+            # per factorisation and shares it across every solve against it.
             self._cg = LaplacianSolver(
                 matrix, method=SolverMethod.CONJUGATE_GRADIENT,
                 tol=self.rtol, maxiter=self.maxiter,
-                preconditioner=self._pc_cache.get(matrix, self._factor_count),
             )
             self._solver_used = "cg"
         self._reset_lowrank()

@@ -56,7 +56,7 @@ class LaplacianSolver:
         CG iteration cap (``None`` lets scipy pick ``10 n``).
     preconditioner:
         Optional pre-built preconditioner for the CG method (e.g. from
-        :class:`PreconditionerCache`); when omitted a Jacobi preconditioner
+        :func:`build_preconditioner`); when omitted a Jacobi preconditioner
         is built from the matrix diagonal.
     """
 
@@ -205,51 +205,6 @@ def build_preconditioner(matrix: Matrix, kind: str = "jacobi",
     raise InvalidParameterError(
         f"preconditioner kind must be 'jacobi' or 'ilu', got {kind!r}"
     )
-
-
-class PreconditionerCache:
-    """Reuse a preconditioner across repeated solves on one matrix version.
-
-    Iterative callers (the sparse resistance backend, repeated
-    ``solve_grounded`` sweeps) re-solve against the same matrix many times
-    between mutations.  Keyed on a caller-supplied version counter (plus the
-    system size, so stale versions of a *different* matrix never alias), the
-    cache rebuilds the preconditioner only when the version moves on.
-    """
-
-    def __init__(self, kind: str = "jacobi", drop_tol: float = 1e-4,
-                 fill_factor: float = 10.0):
-        if str(kind).lower() not in ("jacobi", "ilu"):
-            raise InvalidParameterError(
-                f"preconditioner kind must be 'jacobi' or 'ilu', got {kind!r}"
-            )
-        self.kind = str(kind).lower()
-        self.drop_tol = float(drop_tol)
-        self.fill_factor = float(fill_factor)
-        self._key: Optional[tuple] = None
-        self._operator: Optional[spla.LinearOperator] = None
-        #: Cache statistics, for tests and tuning.
-        self.builds = 0
-        self.hits = 0
-
-    def get(self, matrix: Matrix, version: int) -> spla.LinearOperator:
-        """The preconditioner for ``matrix`` at ``version`` (cached if fresh)."""
-        key = (int(version), int(matrix.shape[0]))
-        if self._operator is not None and self._key == key:
-            self.hits += 1
-            return self._operator
-        self._operator = build_preconditioner(
-            matrix, kind=self.kind,
-            drop_tol=self.drop_tol, fill_factor=self.fill_factor,
-        )
-        self._key = key
-        self.builds += 1
-        return self._operator
-
-    def invalidate(self) -> None:
-        """Drop the cached operator (next ``get`` rebuilds)."""
-        self._key = None
-        self._operator = None
 
 
 def solve_grounded(matrix: Matrix, rhs: np.ndarray,

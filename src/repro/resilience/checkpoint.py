@@ -92,24 +92,18 @@ def _restore_stats(stats, payload: Dict[str, Any]) -> None:
 
 # -------------------------------------------------------------------- graph
 def _serialize_graph(graph, arrays: Dict[str, np.ndarray]) -> Dict[str, Any]:
-    m = len(graph._weights)
-    edge_u = np.empty(m, dtype=np.int64)
-    edge_v = np.empty(m, dtype=np.int64)
-    edge_w = np.empty(m, dtype=np.float64)
-    for k, ((u, v), w) in enumerate(graph._weights.items()):
-        edge_u[k], edge_v[k], edge_w[k] = u, v, w
-    arrays["graph_edge_u"] = edge_u
-    arrays["graph_edge_v"] = edge_v
+    edge_u, edge_v, edge_w = graph._edge_view()
+    mapping = graph.snapshot_mapping()
+    arrays["graph_edge_u"] = mapping[edge_u]
+    arrays["graph_edge_v"] = mapping[edge_v]
     arrays["graph_edge_w"] = edge_w
-    arrays["graph_active"] = np.array(
-        [adj is not None for adj in graph._adjacency], dtype=bool
-    )
+    active = np.zeros(len(graph._adjacency), dtype=bool)
+    active[mapping] = True
+    arrays["graph_active"] = active
     return {
         "version": int(graph._version),
         "node_version": int(graph._node_version),
         "journal_floor": int(graph._journal_floor),
-        "active_count": int(graph._active_count),
-        "non_unit_count": int(graph._non_unit_count),
         "journal": [_event_to_dict(event) for event in graph._journal],
     }
 
@@ -118,30 +112,21 @@ def _restore_graph(meta: Dict[str, Any], data) -> "Any":
     from repro.dynamic.graph import DynamicGraph
 
     graph = DynamicGraph.__new__(DynamicGraph)
-    edge_u = data["graph_edge_u"]
-    edge_v = data["graph_edge_v"]
-    edge_w = data["graph_edge_w"]
-    # Rebuilt in serialisation order: the weight map's insertion order feeds
-    # np.fromiter in the Laplacian assemblies, so it is bit-significant.
-    graph._weights = {
+    # Rebuilt in serialisation order: the weight map's insertion order is
+    # the order the Laplacian assemblies sum edges in, so it is
+    # bit-significant.
+    weights = {
         (int(u), int(v)): float(w)
-        for u, v, w in zip(edge_u, edge_v, edge_w)
+        for u, v, w in zip(data["graph_edge_u"], data["graph_edge_v"],
+                           data["graph_edge_w"])
     }
-    active = data["graph_active"]
-    graph._adjacency = [set() if flag else None for flag in active]
-    for u, v in graph._weights:
-        graph._adjacency[u].add(v)
-        graph._adjacency[v].add(u)
-    graph._active_count = int(meta["active_count"])
-    graph._journal = [_event_from_dict(e) for e in meta["journal"]]
-    graph._journal_floor = int(meta["journal_floor"])
-    graph._version = int(meta["version"])
-    graph._node_version = int(meta["node_version"])
-    graph._snapshot = None
-    graph._snapshot_version = -1
-    graph._mapping = None
-    graph._mapping_node_version = -1
-    graph._non_unit_count = int(meta["non_unit_count"])
+    graph._reset(
+        weights, data["graph_active"],
+        journal=[_event_from_dict(e) for e in meta["journal"]],
+        journal_floor=meta["journal_floor"],
+        version=meta["version"],
+        node_version=meta["node_version"],
+    )
     return graph
 
 

@@ -214,10 +214,16 @@ class ForestBatch:
         rows = weights.shape[0]
         # (B, n, w) layout keeps the scatter axis contiguous per (sample, node).
         totals = np.broadcast_to(weights.T, (batch, self.n, rows)).copy()
-        depth = self.depths()
+        # One stable sort groups the (sample, node) cells by depth; inside a
+        # level they stay in row-major order, which fixes the order in which
+        # np.add.at sums into each parent.
+        depth = self.depths().ravel()
         max_depth = int(depth.max()) if depth.size else 0
+        by_depth = np.argsort(depth, kind="stable")
+        bounds = np.searchsorted(depth[by_depth], np.arange(max_depth + 2))
         for level in range(max_depth, 0, -1):
-            b_idx, nodes = np.nonzero(depth == level)
+            cells = by_depth[bounds[level]:bounds[level + 1]]
+            b_idx, nodes = np.divmod(cells, self.n)
             if b_idx.size == 0:
                 continue
             parents = self.parent[b_idx, nodes]

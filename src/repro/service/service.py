@@ -401,7 +401,7 @@ class AsyncCFCMService:
 
         def work() -> int:
             with self._state_lock:
-                return self.engine.refill_pool(group, sampler=self._pool.sample_forests)
+                return self.engine.refill_pool(group)
 
         return await self._pool.run(work)
 

@@ -4,9 +4,7 @@ The engine's heavy kernels are dense linear algebra (NumPy releases the GIL
 inside BLAS) plus batch forest sampling, now NumPy-vectorised as well by
 the lockstep kernel of :mod:`repro.sampling.batch`.  The pool runs engine
 calls on a bounded :class:`ThreadPoolExecutor` — threads share the engine
-state that the service guards with its own lock — and offers
-:meth:`sample_forests`, which draws forest batches through the vectorised
-lockstep kernel.
+state that the service guards with its own lock.
 
 Cancellation semantics: a thread cannot be interrupted, so cancelling a task
 that awaits :meth:`run` abandons the future — the work finishes (or is
@@ -22,12 +20,9 @@ import asyncio
 import concurrent.futures
 import functools
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from repro.exceptions import ServiceClosedError
-from repro.graph.graph import Graph
-from repro.obs.tracing import trace
-from repro.sampling.batch import ForestBatch, sample_forest_batch_vectorized
 
 
 def _consume(future: concurrent.futures.Future) -> None:
@@ -77,20 +72,6 @@ class WorkerPool:
             if not future.cancel():
                 future.add_done_callback(_consume)
             raise
-
-    def sample_forests(
-        self, graph: Graph, roots: Sequence[int], count: int, seed: int
-    ) -> ForestBatch:
-        """Draw ``count`` rooted forests with the lockstep vectorised kernel.
-
-        Matches the ``sampler(snapshot, compact_roots, count, seed)``
-        signature of :meth:`repro.dynamic.DynamicCFCM.refill_pool`; the
-        result is one :class:`~repro.sampling.batch.ForestBatch`, which the
-        engine's weighted pools admit without materialising per-forest
-        objects.
-        """
-        with trace("worker.sample_forests", count=count):
-            return sample_forest_batch_vectorized(graph, roots, count, seed=seed)
 
     async def close(self) -> None:
         """Reject new work and wait for in-flight work to finish."""

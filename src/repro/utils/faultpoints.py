@@ -39,11 +39,6 @@ def clear_gate(gate: Optional[Any] = None) -> None:
         _GATE = None
 
 
-def current_gate() -> Optional[Any]:
-    """The installed gate, or ``None``."""
-    return _GATE
-
-
 def fault_point(site: str, subject: Any = None, **labels: Any) -> None:
     """Give the installed gate (if any) a chance to inject a fault at ``site``."""
     if _GATE is not None:

@@ -114,6 +114,75 @@ class TestDynamicGraph:
         assert lap[1, 1] == pytest.approx(4.0)
 
 
+GUARD_GRAPHS = {
+    "path": lambda: generators.path_graph(12),
+    "cycle": lambda: generators.cycle_graph(14),
+    "lollipop": lambda: generators.lollipop_graph(5, 6),
+    "barbell": lambda: generators.barbell_graph(4, 3),
+    "random_tree": lambda: generators.random_tree(16, seed=3),
+    "barabasi_albert": lambda: generators.barabasi_albert(30, 2, seed=8),
+}
+
+
+class TestConnectivityGuardOracle:
+    """Every guarded removal agrees with networkx on the mutated copy."""
+
+    @pytest.mark.parametrize("name", sorted(GUARD_GRAPHS))
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_journal_matches_networkx(self, name, seed):
+        import networkx as nx
+
+        base = GUARD_GRAPHS[name]()
+        graph = DynamicGraph(base)
+        mirror = nx.Graph(list(base.edges()))
+        mirror.add_nodes_from(range(base.n))
+        rng = np.random.default_rng(seed)
+        decisions = {True: 0, False: 0}
+        for _ in range(120):
+            draw = rng.random()
+            nodes = sorted(mirror.nodes)
+            if draw < 0.45:
+                u, v = sorted(mirror.edges)[int(rng.integers(mirror.number_of_edges()))]
+                trial = mirror.copy()
+                trial.remove_edge(u, v)
+                expected = nx.is_connected(trial)
+                if expected:
+                    graph.remove_edge(u, v)
+                    mirror.remove_edge(u, v)
+                else:
+                    with pytest.raises(DisconnectedGraphError):
+                        graph.remove_edge(u, v)
+                decisions[expected] += 1
+            elif draw < 0.65 and len(nodes) > 3:
+                node = nodes[int(rng.integers(len(nodes)))]
+                trial = mirror.copy()
+                trial.remove_node(node)
+                expected = nx.is_connected(trial)
+                if expected:
+                    graph.remove_node(node)
+                    mirror.remove_node(node)
+                else:
+                    with pytest.raises(DisconnectedGraphError):
+                        graph.remove_node(node)
+                decisions[expected] += 1
+            elif draw < 0.85:
+                u, v = (int(x) for x in rng.choice(nodes, size=2, replace=False))
+                if not mirror.has_edge(u, v):
+                    graph.add_edge(u, v)
+                    mirror.add_edge(u, v)
+            else:
+                picks = rng.choice(nodes, size=min(2, len(nodes)), replace=False)
+                event = graph.add_node([int(x) for x in picks])
+                mirror.add_edges_from((event.node, int(x)) for x in picks)
+            assert graph.m == mirror.number_of_edges()
+            assert graph.n == mirror.number_of_nodes()
+        assert decisions[True] and decisions[False]
+        expected = nx.convert_node_labels_to_integers(mirror, ordering="sorted")
+        assert sorted(graph.snapshot().edges()) == sorted(
+            tuple(sorted(edge)) for edge in expected.edges
+        )
+
+
 class TestEdgeUpdateRoutine:
     """Sherman–Morrison edge updates against fresh inversion."""
 

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import GraphError, InvalidNodeError
 from repro.graph.graph import Graph, degree_sequence
-from repro.graph import generators
+from repro.graph import datasets, generators
+from repro.graph.builders import to_networkx
 
 
 class TestConstruction:
@@ -110,17 +111,53 @@ class TestAccessors:
         assert first[1] == graph.adjacency.tolist()
 
 
-class TestPositions:
-    def test_reverse_position_involution(self, karate):
-        for position in range(2 * karate.m):
-            other = karate.reverse_position(position)
-            assert karate.reverse_position(other) == position
-            assert karate.position_edge_id(position) == karate.position_edge_id(other)
+def _generated_graphs():
+    """One small instance of every generator and bundled dataset."""
+    return {
+        "path": generators.path_graph(9),
+        "cycle": generators.cycle_graph(10),
+        "complete": generators.complete_graph(6),
+        "star": generators.star_graph(7),
+        "grid": generators.grid_graph(4, 5),
+        "binary_tree": generators.binary_tree(4),
+        "lollipop": generators.lollipop_graph(5, 4),
+        "barbell": generators.barbell_graph(4, 3),
+        "erdos_renyi": generators.erdos_renyi(40, 0.15, seed=1),
+        "barabasi_albert": generators.barabasi_albert(60, 3, seed=2),
+        "watts_strogatz": generators.watts_strogatz(40, 4, 0.2, seed=3),
+        "powerlaw_cluster": generators.powerlaw_cluster(50, 2, 0.3, seed=4),
+        "random_regular": generators.random_regular(30, 3, seed=5),
+        "planted_partition": generators.planted_partition(40, 4, 0.5, 0.05, seed=6),
+        "random_tree": generators.random_tree(35, seed=7),
+        "random_geometric": generators.random_geometric(50, 0.3, seed=8),
+        "karate": datasets.karate(),
+    }
 
-    def test_position_head_matches_adjacency(self, karate):
-        for node in range(karate.n):
-            for position in karate.neighbor_positions(node):
-                assert karate.position_head(int(position)) == karate.adjacency[position]
+
+class TestCSRLayout:
+    """The CSR slice of every node lists its neighbours in ascending order.
+
+    The lockstep forest sampler picks a neighbour by its position in that
+    slice, so this order is what keeps seeded forests reproducible.
+    """
+
+    @pytest.mark.parametrize("name", sorted(_generated_graphs()))
+    def test_slices_match_sorted_networkx_neighbours(self, name):
+        graph = _generated_graphs()[name]
+        nx_graph = to_networkx(graph)
+        for u in range(graph.n):
+            row = graph.adjacency[graph.indptr[u]:graph.indptr[u + 1]]
+            assert row.tolist() == sorted(nx_graph[u])
+        assert graph.degrees.tolist() == [nx_graph.degree(u) for u in range(graph.n)]
+        assert graph.indptr[0] == 0 and graph.indptr[-1] == 2 * graph.m
+        for array in (graph.indptr, graph.adjacency, graph.degrees):
+            assert array.dtype == np.int64
+
+    def test_array_input_matches_tuple_input(self, karate):
+        from_array = Graph(karate.n, karate.edge_array()[::-1, ::-1].copy())
+        assert from_array == karate
+        for name in ("indptr", "adjacency", "degrees"):
+            assert np.array_equal(getattr(from_array, name), getattr(karate, name))
 
 
 class TestMatrices:

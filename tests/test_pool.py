@@ -582,34 +582,6 @@ class TestPoolOwnsPathAndProjection:
         assert engine.stats.pools_flushed > 0
 
 
-class TestSamplerContract:
-    def test_refill_rejects_wrong_type_and_count(self, karate):
-        engine = DynamicCFCM(DynamicGraph(karate), seed=0, pool_size=4)
-
-        def listing(snapshot, roots, count, seed):
-            return forests_of(sample_forest_batch_vectorized(snapshot, roots, count,
-                                                             seed=seed))
-
-        def short(snapshot, roots, count, seed):
-            return sample_forest_batch_vectorized(snapshot, roots, count - 1,
-                                                  seed=seed)
-
-        for sampler in (listing, short):
-            with pytest.raises(InvalidParameterError):
-                engine.refill_pool([0], sampler=sampler)
-            assert engine._pools[(0,)].size == 0
-
-    def test_refill_accepts_forest_batch_samplers(self, karate):
-        engine = DynamicCFCM(DynamicGraph(karate), seed=0, pool_size=4)
-
-        def sampler(snapshot, roots, count, seed):
-            return sample_forest_batch_vectorized(snapshot, roots, count,
-                                                  seed=seed)
-
-        assert engine.refill_pool([0], sampler=sampler) == 4
-        assert engine.evaluate_forest([0]) > 0.0
-
-
 class TestLRUPoolEviction:
     def test_eviction_records_stat_and_drops_health_state(self, karate):
         engine = DynamicCFCM(DynamicGraph(karate), seed=0, pool_size=4,

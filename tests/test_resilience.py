@@ -433,6 +433,38 @@ class TestCheckpointRecovery:
         restored.graph.add_edge(u, v)
         assert restored.evaluate_exact(GROUP) == live
 
+    def test_restored_graph_after_node_churn_matches(self, tmp_path):
+        graph = DynamicGraph(generators.barabasi_albert(30, 2, seed=16))
+        engine = DynamicCFCM(graph, seed=3, pool_size=4)
+        engine.evaluate_exact(GROUP)
+        graph.add_node([4, 9])
+        graph.remove_node(5)
+        graph.update_weight(*sorted(graph.edges())[3], 2.5)
+        graph.remove_node(12)
+        ids = [int(x) for x in graph.node_ids()]
+        graph.add_edge(*next((a, b) for a in ids for b in ids
+                             if a < b and not graph.has_edge(a, b)))
+        path = str(tmp_path / "engine.npz")
+        engine.checkpoint(path)
+        restored = DynamicCFCM.restore(path).graph
+
+        assert restored.version == graph.version
+        assert np.array_equal(restored.snapshot_mapping(), graph.snapshot_mapping())
+        assert restored.snapshot() == graph.snapshot()
+        for name in ("indptr", "adjacency", "degrees"):
+            assert np.array_equal(getattr(restored.snapshot(), name),
+                                  getattr(graph.snapshot(), name))
+        live, back = graph.laplacian_sparse(), restored.laplacian_sparse()
+        assert np.array_equal(live.indptr, back.indptr)
+        assert np.array_equal(live.indices, back.indices)
+        assert np.array_equal(live.data, back.data)
+        assert np.array_equal(restored.laplacian_dense(), graph.laplacian_dense())
+        for u, v in sorted(graph.edges()):
+            assert restored._would_disconnect((u, v)) == graph._would_disconnect((u, v))
+        for node in graph.node_ids():
+            assert (restored._node_removal_disconnects(int(node))
+                    == graph._node_removal_disconnects(int(node)))
+
     @pytest.mark.parametrize("tamper", ["path_cycle", "path_orphan",
                                         "pool_out_of_range"])
     def test_tampered_parent_arrays_raise_graph_error(self, tmp_path, tamper):

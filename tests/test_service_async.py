@@ -361,10 +361,6 @@ class TestEngineHooks:
         assert engine.refill_pool(GROUP) == 0
         assert engine.stats.forests_resampled == 4
 
-        engine = DynamicCFCM(DynamicGraph(base_graph), seed=0, pool_size=4)
-        with pytest.raises(InvalidParameterError):
-            engine.refill_pool(GROUP, sampler=lambda *args: [])
-
 
 class TestRandomizedEquivalence:
     """Acceptance criterion: async answers == fresh sync engine at the version."""
